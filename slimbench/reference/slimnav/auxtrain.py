@@ -1,0 +1,683 @@
+"""Auxiliary-network training: reward shaping, discounted returns, a
+random-walk reward probe, TD3 with twin critics and a delayed actor, the
+closed-loop episode runner for both adaptation modes, a distance curriculum,
+and resource-usage metrics.
+
+Mode "C" adapts compute: the auxiliary actor emits a slimming factor rho for
+the navigation network while sensing stays at max power. Mode "S" adapts
+sensing: the actor emits the next (p_f, p_d) power levels while the
+navigation network runs at full width with the matching input mask.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import worldsim
+from .errors import ConfigError, TrainingError
+from .slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
+                      active_params, input_mask_from_power)
+from .worldsim import (ACTIVE, COLLIDED, DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE,
+                       DEFAULT_MAX_STEP, DroneState, FifoQueue, OBS_WIDTH,
+                       ObservationLayout, REACHED, SensorConfig, sense, step)
+
+TIMEOUT = "timeout"
+
+MAX_POWER = (3, 3)
+POWER_SUM_MAX = 6.0
+
+
+@dataclass(frozen=True)
+class RewardWeights:
+    """Per-step reward coefficients: collision and goal terminals, distance
+    progress, time, compute (rho) and sensing (power sum) penalties."""
+
+    collision: float = 10.0
+    goal: float = 10.0
+    progress: float = 1.0
+    time: float = 0.1
+    compute: float = 0.1
+    sensing: float = 0.05
+
+    def __post_init__(self):
+        for name in ("collision", "goal", "progress", "time", "compute", "sensing"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"reward weight {name} must be >= 0")
+
+
+def reward(d: float, terminal: str, rho: float, p_f: float, p_d: float,
+           w: RewardWeights) -> float:
+    """Reward of one step: -collision / +goal on terminals, otherwise
+    progress * tanh(d) - time - compute * rho - sensing * (p_f + p_d).
+
+    Callers fix the coefficient that their mode does not control (mode C
+    passes max power, mode S passes rho = 1).
+    """
+    if terminal == COLLIDED:
+        return -w.collision
+    if terminal == REACHED:
+        return w.goal
+    return w.progress * math.tanh(d) - w.time - w.compute * rho - w.sensing * (p_f + p_d)
+
+
+def q_return(rewards, gamma: float, t: int = 0) -> float:
+    """Discounted return of the reward suffix starting at step t:
+    sum_i gamma^(i-t) * r_i. Satisfies q(t) = r_t + gamma * q(t+1)."""
+    rewards = list(rewards)
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    if not 0 <= t < len(rewards):
+        raise ValueError(f"step {t} outside episode of length {len(rewards)}")
+    q = 0.0
+    for r in reversed(rewards[t:]):
+        q = r + gamma * q
+    return q
+
+
+@dataclass
+class ProbeResult:
+    mean_q: float
+    std_q: float
+    q_values: np.ndarray
+    mean_steps: float
+
+
+def random_walk_probe(w: RewardWeights, gamma: float, n_walks: int,
+                      seed: int = 0, start_distance: float = 100.0,
+                      step_mean: float = 1.0, step_std: float = 0.5,
+                      goal_radius: float = DEFAULT_GOAL_RADIUS,
+                      max_steps: int = 500, rho: float = 1.0,
+                      p_f: float = 3, p_d: float = 3) -> ProbeResult:
+    """Vets a reward weighting before any training: scalar-distance walks
+    start start_distance out and step toward the goal by Gaussian-noised
+    increments; each walk's rewards are rolled up into a discounted return."""
+    rng = np.random.default_rng(seed)
+    qs = np.empty(n_walks)
+    steps = np.empty(n_walks)
+    for i in range(n_walks):
+        dist = start_distance
+        rewards = []
+        for t in range(max_steps):
+            d = step_mean + (step_std * rng.standard_normal() if step_std > 0 else 0.0)
+            dist -= d
+            if dist <= goal_radius:
+                rewards.append(reward(d, REACHED, rho, p_f, p_d, w))
+                break
+            rewards.append(reward(d, ACTIVE, rho, p_f, p_d, w))
+        qs[i] = q_return(rewards, gamma)
+        steps[i] = len(rewards)
+    return ProbeResult(mean_q=float(qs.mean()), std_q=float(qs.std()),
+                       q_values=qs, mean_steps=float(steps.mean()))
+
+
+class ReplayBuffer:
+    """Ring buffer of transitions; oldest entries are evicted first. Batches
+    are drawn uniformly without replacement. Stored as float32."""
+
+    def __init__(self, capacity: int, state_dim: int, action_dim: int):
+        if capacity < 1:
+            raise ConfigError(f"buffer capacity must be >= 1, got {capacity}")
+        self.capacity = int(capacity)
+        self.states = np.zeros((capacity, state_dim), dtype=np.float32)
+        self.actions = np.zeros((capacity, action_dim), dtype=np.float32)
+        self.rewards = np.zeros(capacity, dtype=np.float32)
+        self.next_states = np.zeros((capacity, state_dim), dtype=np.float32)
+        self.dones = np.zeros(capacity, dtype=np.float32)
+        self.ptr = 0
+        self.size = 0
+
+    def add(self, s, a, r, s2, done) -> None:
+        i = self.ptr
+        self.states[i] = s
+        self.actions[i] = a
+        self.rewards[i] = r
+        self.next_states[i] = s2
+        self.dones[i] = float(done)
+        self.ptr = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size: int, rng):
+        if batch_size > self.size:
+            raise ValueError(f"batch {batch_size} exceeds buffer size {self.size}")
+        idx = rng.choice(self.size, size=batch_size, replace=False)
+        return (self.states[idx].astype(np.float64),
+                self.actions[idx].astype(np.float64),
+                self.rewards[idx].astype(np.float64),
+                self.next_states[idx].astype(np.float64),
+                self.dones[idx].astype(np.float64))
+
+
+@dataclass
+class TD3Config:
+    gamma: float = 0.99
+    tau: float = 0.005
+    policy_delay: int = 2
+    exploration_steps: int = 2000
+    action_noise_std: float = 0.1
+    target_noise_std: float = 0.2
+    target_noise_clip: float = 0.5
+    batch_size: int = 128
+    buffer_capacity: int = 100_000
+    lr_actor: float = 1e-3
+    lr_critic: float = 1e-3
+    max_episode_steps: int = 200
+
+    def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
+        if self.policy_delay < 1:
+            raise ConfigError(f"policy_delay must be >= 1, got {self.policy_delay}")
+        if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
+            raise ConfigError("buffer must hold at least one batch")
+
+
+class TD3Agent:
+    """Twin critics with clipped target noise, delayed deterministic actor,
+    Polyak-averaged target copies of all three networks."""
+
+    def __init__(self, state_dim: int, action_low, action_high,
+                 cfg: TD3Config | None = None, actor_hidden=(32, 32),
+                 critic_hidden=(64, 64), seed: int = 0):
+        self.cfg = cfg or TD3Config()
+        self.low = np.asarray(action_low, dtype=float)
+        self.high = np.asarray(action_high, dtype=float)
+        adim = self.low.size
+        self.action_scale = 0.5 * (self.high - self.low)  # noise unit per dim
+        actor_spec = MLPSpec(u=state_dim, q=tuple(actor_hidden), v=adim,
+                             output_activation="bounded",
+                             output_low=tuple(self.low), output_high=tuple(self.high))
+        critic_spec = MLPSpec(u=state_dim + adim, q=tuple(critic_hidden), v=1)
+        self.actor = SlimmableMLP(actor_spec, seed=seed)
+        self.critic1 = SlimmableMLP(critic_spec, seed=seed + 1)
+        self.critic2 = SlimmableMLP(critic_spec, seed=seed + 2)
+        self.actor_target = self.actor.copy()
+        self.critic1_target = self.critic1.copy()
+        self.critic2_target = self.critic2.copy()
+        self.opt_actor = Adam(self.actor, lr=self.cfg.lr_actor)
+        self.opt_critic1 = Adam(self.critic1, lr=self.cfg.lr_critic)
+        self.opt_critic2 = Adam(self.critic2, lr=self.cfg.lr_critic)
+        self.update_count = 0
+        self.state_dim = state_dim
+        self.action_dim = adim
+
+    def act(self, state) -> np.ndarray:
+        return np.asarray(self.actor.forward(state), dtype=float)
+
+    def noisy_act(self, state, rng) -> np.ndarray:
+        a = self.act(state)
+        a = a + rng.normal(0.0, self.cfg.action_noise_std, size=a.shape) * self.action_scale
+        return np.clip(a, self.low, self.high)
+
+    def random_action(self, rng) -> np.ndarray:
+        return rng.uniform(self.low, self.high)
+
+    def _polyak(self) -> None:
+        tau = self.cfg.tau
+        for net, tgt in ((self.actor, self.actor_target),
+                         (self.critic1, self.critic1_target),
+                         (self.critic2, self.critic2_target)):
+            for p, q in zip(net.weights + net.biases, tgt.weights + tgt.biases):
+                q[:] = (tau * p + (1.0 - tau) * q).astype(np.float32)
+
+    def update(self, buffer: ReplayBuffer, rng) -> dict:
+        """One TD3 step: both critics regress the clipped double-Q target;
+        every policy_delay updates the actor ascends critic1 and all targets
+        are Polyak-averaged."""
+        cfg = self.cfg
+        s, a, r, s2, done = buffer.sample(cfg.batch_size, rng)
+        n = s.shape[0]
+
+        eps = rng.normal(0.0, cfg.target_noise_std, size=a.shape)
+        eps = np.clip(eps, -cfg.target_noise_clip, cfg.target_noise_clip) * self.action_scale
+        a2 = np.clip(self.actor_target.forward(s2) + eps, self.low, self.high)
+        sa2 = np.concatenate([s2, a2], axis=1)
+        q_next = np.minimum(self.critic1_target.forward(sa2)[:, 0],
+                            self.critic2_target.forward(sa2)[:, 0])
+        y = r + cfg.gamma * (1.0 - done) * q_next
+
+        sa = np.concatenate([s, a], axis=1)
+        losses = {}
+        for name, critic, opt in (("critic1", self.critic1, self.opt_critic1),
+                                  ("critic2", self.critic2, self.opt_critic2)):
+            q, cache = critic.forward(sa, return_cache=True)
+            err = q[:, 0] - y
+            losses[name] = float(np.mean(err**2))
+            grads = critic.backward(cache, (2.0 * err / n)[:, None])
+            opt.step(grads)
+
+        self.update_count += 1
+        losses["q_mean"] = float(np.mean(y))
+        losses["actor"] = float("nan")
+        if self.update_count % cfg.policy_delay == 0:
+            a_pi, cache_a = self.actor.forward(s, return_cache=True)
+            sa_pi = np.concatenate([s, a_pi], axis=1)
+            q, cache_q = self.critic1.forward(sa_pi, return_cache=True)
+            losses["actor"] = float(-np.mean(q))
+            gq = self.critic1.backward(cache_q, np.full((n, 1), -1.0 / n))
+            da = gq.inputs[:, self.state_dim:]
+            grads_actor = self.actor.backward(cache_a, da)
+            self.opt_actor.step(grads_actor)
+            self._polyak()
+        return losses
+
+
+class CurriculumController:
+    """Spawn-goal distance schedule: starts small, advances by a fixed
+    increment whenever evaluation success reaches the threshold, never
+    decreases."""
+
+    def __init__(self, start: float = 10.0, increment: float = 10.0,
+                 maximum: float = 40.0, threshold: float = 0.8):
+        if start <= 0 or increment < 0 or maximum < start:
+            raise ConfigError("curriculum needs 0 < start <= maximum and increment >= 0")
+        if not 0.0 < threshold <= 1.0:
+            raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
+        self.distance = float(start)
+        self.increment = float(increment)
+        self.maximum = float(maximum)
+        self.threshold = float(threshold)
+
+    def update(self, success_rate: float) -> float:
+        if success_rate >= self.threshold:
+            self.distance = min(self.distance + self.increment, self.maximum)
+        return self.distance
+
+
+@dataclass
+class EpisodeStep:
+    position: np.ndarray
+    rho: float
+    p_f: int
+    p_d: int
+    reward: float
+    m_active: int
+    mean_forward_depth: float
+    mean_downward_depth: float
+
+
+@dataclass
+class EpisodeLog:
+    steps: list
+    outcome: str
+    spawn: np.ndarray
+    goal: np.ndarray
+    optimal_steps: int | None = None
+    optimal_length: float | None = None
+
+    @property
+    def path_steps(self) -> int:
+        return len(self.steps)
+
+    @property
+    def rewards(self) -> list:
+        return [s.reward for s in self.steps]
+
+    def mean_rho(self) -> float:
+        return float(np.mean([s.rho for s in self.steps]))
+
+    def mean_powers(self) -> tuple[float, float]:
+        return (float(np.mean([s.p_f for s in self.steps])),
+                float(np.mean([s.p_d for s in self.steps])))
+
+
+def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
+                mode: str = "C", *, spawn, goal, weights: RewardWeights | None = None,
+                depth: int = 4, rho_min: float = 0.25,
+                fixed_rho: float = 1.0, fixed_powers=MAX_POWER,
+                goal_radius: float = DEFAULT_GOAL_RADIUS,
+                max_step: float = DEFAULT_MAX_STEP,
+                max_range: float = DEFAULT_MAX_RANGE,
+                max_steps: int = 200, vertical_locked: bool = False,
+                policy=None, transition_sink=None,
+                optimal_path=None) -> EpisodeLog:
+    """Closed-loop flight from spawn to goal.
+
+    Mode C: sense at max power, push the FIFO, pick rho (aux actor, `policy`
+    override, or `fixed_rho`), run the navigation network slimmed to rho,
+    step, reward with max-power sensing cost.
+
+    Mode S: sense at the current power levels, push the FIFO, run the
+    navigation network at full width with the matching input mask, pick the
+    next levels (applied at the next acquisition; the first one is max
+    power), step, reward with rho = 1 and the freshly emitted levels.
+
+    `policy` maps the flattened FIFO to the raw continuous action and
+    overrides the aux network. `transition_sink(s, a, r, s2, done)` receives
+    every completed transition for replay-buffer filling.
+    """
+    if mode not in ("C", "S"):
+        raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
+    w = weights or RewardWeights()
+    layout = ObservationLayout(depth)
+    state = DroneState(position=np.asarray(spawn, dtype=float),
+                       goal=np.asarray(goal, dtype=float),
+                       vertical_locked=vertical_locked)
+    fifo = FifoQueue(depth, OBS_WIDTH)
+    last_action = np.zeros(3)
+    powers = tuple(fixed_powers) if mode == "S" else MAX_POWER
+    if mode == "S":
+        powers = MAX_POWER  # first acquisition is always max power
+
+    def select_action(x):
+        if policy is not None:
+            return np.asarray(policy(x), dtype=float)
+        if aux is not None:
+            return np.asarray(aux.forward(x), dtype=float)
+        if mode == "C":
+            return np.array([fixed_rho])
+        return np.asarray(fixed_powers, dtype=float)
+
+    steps_log: list[EpisodeStep] = []
+    pending = None
+    outcome = TIMEOUT
+    for _ in range(max_steps):
+        obs = sense(grid, state, SensorConfig(powers[0], powers[1], max_range),
+                    last_action=last_action)
+        fifo.push(obs.vector())
+        x = fifo.flatten()
+        if pending is not None and transition_sink is not None:
+            transition_sink(*pending, x, 0.0)
+        pending = None
+
+        action = select_action(x)
+        if mode == "C":
+            rho = float(np.clip(action[0], rho_min, 1.0))
+            mask = SlimMask(nav.spec, rho)
+            used_powers = MAX_POWER
+            reward_powers = MAX_POWER
+            m_act = active_params(nav.spec, rho)[0]
+        else:
+            rho = 1.0
+            in_mask = input_mask_from_power(powers[0], powers[1], layout)
+            mask = SlimMask(nav.spec, 1.0, active_inputs=in_mask)
+            emitted = (int(np.clip(round(action[0]), 1, 3)),
+                       int(np.clip(round(action[1]), 0, 3)))
+            used_powers = powers
+            reward_powers = emitted
+            m_act = active_params(nav.spec, 1.0, active_inputs=in_mask)[0]
+
+        motion = nav.forward(x, mask)
+        prev_dist = state.goal_distance()
+        applied = worldsim.clamp_motion(motion, max_step, vertical_locked)
+        state = step(grid, state, motion, goal_radius=goal_radius, max_step=max_step)
+        d = prev_dist - state.goal_distance()
+        r = reward(d, state.terminal, rho, reward_powers[0], reward_powers[1], w)
+        steps_log.append(EpisodeStep(
+            position=state.position.copy(), rho=rho,
+            p_f=used_powers[0], p_d=used_powers[1], reward=r,
+            m_active=m_act, mean_forward_depth=obs.mean_forward_depth(),
+            mean_downward_depth=obs.mean_downward_depth()))
+        last_action = applied / max_step
+        if mode == "S":
+            powers = emitted
+
+        if state.terminal != ACTIVE:
+            outcome = state.terminal
+            if transition_sink is not None:
+                transition_sink(x, action, r, x, 1.0)
+            break
+        pending = (x, action, r)
+
+    if pending is not None and transition_sink is not None:
+        # timed out while active: sense once more to complete the transition
+        obs = sense(grid, state, SensorConfig(powers[0], powers[1], max_range),
+                    last_action=last_action)
+        x2 = fifo.copy().push(obs.vector()).flatten()
+        transition_sink(*pending, x2, 0.0)
+
+    opt_steps = opt_len = None
+    if optimal_path is not None:
+        opt_steps, opt_len = optimal_path.steps, optimal_path.length
+    return EpisodeLog(steps=steps_log, outcome=outcome,
+                      spawn=np.asarray(spawn, dtype=float),
+                      goal=np.asarray(goal, dtype=float),
+                      optimal_steps=opt_steps, optimal_length=opt_len)
+
+
+@dataclass
+class ConstraintConfig:
+    """Path-length constraint: successful paths must satisfy
+    steps <= beta * optimal_steps. alpha is the reserved slack weight for
+    reporting how close a run sits to the bound."""
+
+    alpha: float = 0.5
+    beta: float = 1.5
+
+    def __post_init__(self):
+        if self.beta < 1.0:
+            raise ConfigError(f"beta must be >= 1, got {self.beta}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+
+
+@dataclass
+class GateReport:
+    """Final evaluation on held-out tasks plus the length-constraint verdict."""
+
+    ok: bool
+    success_rate: float
+    mean_rho: float
+    mean_p_f: float
+    mean_p_d: float
+    distance: float
+    beta: float
+    episodes: list
+    violations: list
+
+    def summary(self) -> str:
+        status = "pass" if self.ok else "FAIL"
+        return (f"gate {status}: success {self.success_rate:.0%}, "
+                f"mean rho {self.mean_rho:.3f}, mean p=({self.mean_p_f:.2f},"
+                f"{self.mean_p_d:.2f}) at {self.distance:.0f} m")
+
+
+@dataclass
+class AuxTrainResult:
+    agent: TD3Agent
+    episodes: list
+    eval_history: list
+    update_log: list
+    exploration_actions: np.ndarray
+    gate: GateReport
+    env_steps: int
+
+
+def _mode_bounds(mode: str, rho_min: float):
+    if mode == "C":
+        return np.array([rho_min]), np.array([1.0])
+    return np.array([1.0, 0.0]), np.array([3.0, 3.0])
+
+
+def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,
+                    rng, *, weights, constraint=None, depth=4, rho_min=0.25,
+                    goal_radius=DEFAULT_GOAL_RADIUS, max_step=DEFAULT_MAX_STEP,
+                    max_range=DEFAULT_MAX_RANGE, max_steps=200) -> list:
+    """Deterministic-policy episodes on sampled tasks; returns EpisodeLogs."""
+    logs = []
+    policy = (lambda x: agent.act(x)) if agent is not None else None
+    for _ in range(n_episodes):
+        sampler = samplers[int(rng.integers(len(samplers)))]
+        task = sampler.sample(region, distance, rng)
+        grid = sampler.graph.grid
+        res = grid.resolution
+        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
+        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
+        log = run_episode(grid, nav, None, mode, spawn=spawn, goal=goal,
+                          weights=weights, depth=depth, rho_min=rho_min,
+                          goal_radius=goal_radius, max_step=max_step,
+                          max_range=max_range, max_steps=max_steps,
+                          vertical_locked=sampler.graph.vertical_locked,
+                          policy=policy, optimal_path=task.path)
+        logs.append(log)
+    return logs
+
+
+def check_gate(logs, beta: float) -> tuple[bool, list]:
+    """Every episode must reach the goal within beta times the optimal step
+    count. Returns (ok, human-readable violations)."""
+    violations = []
+    for i, log in enumerate(logs):
+        if log.outcome != REACHED:
+            violations.append(f"episode {i}: outcome {log.outcome} "
+                              f"after {log.path_steps} steps")
+        elif log.optimal_steps and log.path_steps > beta * log.optimal_steps:
+            violations.append(f"episode {i}: {log.path_steps} steps vs optimal "
+                              f"{log.optimal_steps} exceeds beta {beta}")
+    return (not violations), violations
+
+
+def train_auxiliary(samplers, nav: SlimmableMLP, mode: str,
+                    td3_cfg: TD3Config, weights: RewardWeights,
+                    constraint: ConstraintConfig, *, depth: int = 4,
+                    rho_min: float = 0.25, seed: int = 0,
+                    total_env_steps: int = 30_000,
+                    eval_every_episodes: int = 20, eval_episodes: int = 10,
+                    gate_episodes: int = 20, gate_distance: float | None = None,
+                    curriculum: CurriculumController | None = None,
+                    actor_hidden=(32, 32), critic_hidden=(64, 64),
+                    goal_radius: float = DEFAULT_GOAL_RADIUS,
+                    max_step: float = DEFAULT_MAX_STEP,
+                    max_range: float = DEFAULT_MAX_RANGE) -> AuxTrainResult:
+    """TD3-train the auxiliary actor against the frozen navigation network.
+
+    Episodes run on tasks drawn from the train region at the curriculum
+    distance; the curriculum advances on validation success. The final gate
+    evaluates held-out test tasks and applies the path-length constraint;
+    a failed gate is reported in the result, never hidden.
+    """
+    if mode not in ("C", "S"):
+        raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
+    if not samplers:
+        raise ConfigError("need at least one task sampler")
+    rng = np.random.default_rng(seed)
+    low, high = _mode_bounds(mode, rho_min)
+    state_dim = depth * OBS_WIDTH
+    agent = TD3Agent(state_dim, low, high, td3_cfg,
+                     actor_hidden=actor_hidden, critic_hidden=critic_hidden,
+                     seed=seed)
+    buffer = ReplayBuffer(td3_cfg.buffer_capacity, state_dim, agent.action_dim)
+    cur = curriculum or CurriculumController()
+    episodes: list[EpisodeLog] = []
+    eval_history: list[dict] = []
+    update_log: list[dict] = []
+    exploration_actions: list[np.ndarray] = []
+    env_steps = 0
+
+    def policy(x):
+        if env_steps < td3_cfg.exploration_steps:
+            a = agent.random_action(rng)
+            exploration_actions.append(a)
+            return a
+        return agent.noisy_act(x, rng)
+
+    def sink(s, a, r, s2, done):
+        nonlocal env_steps
+        buffer.add(s, a, r, s2, done)
+        env_steps += 1
+        if env_steps >= td3_cfg.exploration_steps and buffer.size >= td3_cfg.batch_size:
+            losses = agent.update(buffer, rng)
+            update_log.append({"env_steps": env_steps,
+                               "curriculum_distance": cur.distance, **losses})
+
+    episode_idx = 0
+    while env_steps < total_env_steps:
+        sampler = samplers[int(rng.integers(len(samplers)))]
+        task = sampler.sample("train", cur.distance, rng)
+        grid = sampler.graph.grid
+        res = grid.resolution
+        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
+        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
+        log = run_episode(grid, nav, None, mode, spawn=spawn, goal=goal,
+                          weights=weights, depth=depth, rho_min=rho_min,
+                          goal_radius=goal_radius, max_step=max_step,
+                          max_range=max_range, max_steps=td3_cfg.max_episode_steps,
+                          vertical_locked=sampler.graph.vertical_locked,
+                          policy=policy, transition_sink=sink,
+                          optimal_path=task.path)
+        episodes.append(log)
+        episode_idx += 1
+        if episode_idx % eval_every_episodes == 0 and env_steps >= td3_cfg.exploration_steps:
+            logs = evaluate_policy(samplers, nav, agent, mode, "validation",
+                                   cur.distance, eval_episodes, rng,
+                                   weights=weights, depth=depth, rho_min=rho_min,
+                                   goal_radius=goal_radius, max_step=max_step,
+                                   max_range=max_range,
+                                   max_steps=td3_cfg.max_episode_steps)
+            success = float(np.mean([l.outcome == REACHED for l in logs]))
+            eval_history.append({"env_steps": env_steps, "episode": episode_idx,
+                                 "distance": cur.distance, "success": success,
+                                 "mean_rho": float(np.mean([l.mean_rho() for l in logs]))})
+            cur.update(success)
+
+    dist = gate_distance if gate_distance is not None else cur.distance
+    gate_logs = evaluate_policy(samplers, nav, agent, mode, "test", dist,
+                                gate_episodes, rng, weights=weights,
+                                depth=depth, rho_min=rho_min,
+                                goal_radius=goal_radius, max_step=max_step,
+                                max_range=max_range,
+                                max_steps=td3_cfg.max_episode_steps)
+    ok, violations = check_gate(gate_logs, constraint.beta)
+    succ = [l for l in gate_logs if l.outcome == REACHED]
+    mean_rho = float(np.mean([l.mean_rho() for l in gate_logs]))
+    pf = float(np.mean([l.mean_powers()[0] for l in gate_logs]))
+    pd = float(np.mean([l.mean_powers()[1] for l in gate_logs]))
+    gate = GateReport(ok=ok,
+                      success_rate=float(np.mean([l.outcome == REACHED for l in gate_logs])),
+                      mean_rho=mean_rho, mean_p_f=pf, mean_p_d=pd,
+                      distance=dist, beta=constraint.beta,
+                      episodes=gate_logs, violations=violations)
+    return AuxTrainResult(agent=agent, episodes=episodes,
+                          eval_history=eval_history, update_log=update_log,
+                          exploration_actions=np.asarray(exploration_actions),
+                          gate=gate, env_steps=env_steps)
+
+
+@dataclass
+class EtaReport:
+    """Resource usage over the successful episodes of a run: mean slimming
+    factor and its parameter-count ratio, mean power levels and their share
+    of the maximum power budget."""
+
+    mean_rho: float
+    eta_m: float
+    mean_p_f: float
+    mean_p_d: float
+    eta_w: float
+    n_episodes: int
+    n_steps: int
+
+
+def compute_eta(logs, spec: MLPSpec) -> EtaReport:
+    """Aggregate resource metrics over successful episodes only:
+    eta_m = mean active parameter count / full parameter count,
+    eta_w = (mean p_f + mean p_d) / max power sum."""
+    succ = [l for l in logs if l.outcome == REACHED]
+    if not succ:
+        raise ValueError("no successful episodes to aggregate")
+    rhos, pfs, pds, ms = [], [], [], []
+    for log in succ:
+        for s in log.steps:
+            rhos.append(s.rho)
+            pfs.append(s.p_f)
+            pds.append(s.p_d)
+            ms.append(active_params(spec, s.rho)[0])
+    m_full = active_params(spec, 1.0)[0]
+    mean_pf = float(np.mean(pfs))
+    mean_pd = float(np.mean(pds))
+    return EtaReport(mean_rho=float(np.mean(rhos)),
+                     eta_m=float(np.mean(ms)) / m_full,
+                     mean_p_f=mean_pf, mean_p_d=mean_pd,
+                     eta_w=(mean_pf + mean_pd) / POWER_SUM_MAX,
+                     n_episodes=len(succ), n_steps=len(rhos))
+
+
+def format_percent(x: float, decimals: int = 0) -> str:
+    """Half-up percent formatting used in summary tables."""
+    scaled = x * 100.0 * 10**decimals
+    val = math.floor(scaled + 0.5) / 10**decimals
+    return f"{val:.{decimals}f}%" if decimals else f"{int(val)}%"

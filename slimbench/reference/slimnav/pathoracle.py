@@ -1,0 +1,531 @@
+"""Optimal-path supervision: free-space motion graphs over the voxel world,
+A* search, map partitioning into train/validation/test slabs, and labeling
+of observation FIFOs with expert motions."""
+
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import worldsim
+from .errors import ConfigError, LoadError, NoPathError
+from .worldsim import (DroneState, FifoQueue, OBS_WIDTH, SensorConfig,
+                       VoxelGrid, sense)
+
+SQRT2 = math.sqrt(2.0)
+
+REGION_NAMES = ("train", "validation", "test")
+
+DATASET_MAGIC = "NAVIDATA v1"
+
+# 8-connected horizontal moves plus straight up/down when vertical is unlocked
+HORIZONTAL_MOVES = tuple((dx, dy, 0) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                         if (dx, dy) != (0, 0))
+VERTICAL_MOVES = ((0, 0, 1), (0, 0, -1))
+
+
+def crowding_mask(occupancy: np.ndarray) -> np.ndarray:
+    """True where the same-z 8-neighborhood touches an obstacle — the voxels
+    where a drifting flight can clip a wall."""
+    crowd = np.zeros_like(occupancy)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            if (dx, dy) == (0, 0):
+                continue
+            sx = slice(max(dx, 0), occupancy.shape[0] + min(dx, 0))
+            tx = slice(max(-dx, 0), occupancy.shape[0] + min(-dx, 0))
+            sy = slice(max(dy, 0), occupancy.shape[1] + min(dy, 0))
+            ty = slice(max(-dy, 0), occupancy.shape[1] + min(-dy, 0))
+            crowd[tx, ty, :] |= occupancy[sx, sy, :]
+    return crowd
+
+
+@dataclass
+class MapGraph:
+    """Vertices are free voxels (one per voxel center); edges connect
+    neighbors whose center-to-center segment passes the same collision test
+    the drone motion uses."""
+
+    grid: VoxelGrid
+    vertical_locked: bool
+    free: np.ndarray
+    moves: tuple
+    _crowding: np.ndarray | None = field(default=None, repr=False)
+
+    def is_vertex(self, v) -> bool:
+        return self.grid.in_bounds(v) and bool(self.free[v[0], v[1], v[2]])
+
+    @property
+    def crowding(self) -> np.ndarray:
+        """True where the same-z 8-neighborhood touches an obstacle. Input
+        to the clearance-shaped search cost."""
+        if self._crowding is None:
+            self._crowding = crowding_mask(self.grid.occupancy)
+        return self._crowding
+
+    def vertex_point(self, v) -> np.ndarray:
+        return (np.asarray(v, dtype=float) + 0.5) * self.grid.resolution
+
+    def neighbors(self, v):
+        p = self.vertex_point(v)
+        for dx, dy, dz, cost in self.moves:
+            w = (v[0] + dx, v[1] + dy, v[2] + dz)
+            if not self.is_vertex(w):
+                continue
+            if dx != 0 and dy != 0:
+                # diagonals need both orthogonal neighbors free, otherwise the
+                # edge grazes an obstacle corner with zero clearance
+                if not (self.free[v[0] + dx, v[1], v[2]] and
+                        self.free[v[0], v[1] + dy, v[2]]):
+                    continue
+            if worldsim.segment_hits(self.grid, p, self.vertex_point(w) - p) is not None:
+                continue
+            yield w, cost
+
+    def vertex_count(self) -> int:
+        return int(np.count_nonzero(self.free))
+
+
+def build_graph(grid: VoxelGrid, vertical_locked: bool = False) -> MapGraph:
+    res = grid.resolution
+    moves = [(dx, dy, dz, res * math.sqrt(dx * dx + dy * dy + dz * dz))
+             for dx, dy, dz in HORIZONTAL_MOVES]
+    if not vertical_locked:
+        moves += [(dx, dy, dz, res) for dx, dy, dz in VERTICAL_MOVES]
+    return MapGraph(grid=grid, vertical_locked=vertical_locked,
+                    free=~grid.occupancy, moves=tuple(moves))
+
+
+@dataclass
+class OptimalPath:
+    waypoints: list
+    length: float
+    region: str = ""
+    expanded: int = 0
+
+    @property
+    def steps(self) -> int:
+        return len(self.waypoints) - 1
+
+    def points(self, resolution: float) -> np.ndarray:
+        return (np.asarray(self.waypoints, dtype=float) + 0.5) * resolution
+
+
+def path_cost(waypoints, resolution: float) -> float:
+    """Canonical cost of a waypoint chain: counts orthogonal and diagonal
+    hops, then forms n_orth * res + n_diag * (res * sqrt(2)). Keeping one
+    fixed expression makes equal-cost paths compare exactly equal."""
+    n_orth = n_diag = 0
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        step = tuple(sorted(abs(b[i] - a[i]) for i in range(3)))
+        if step == (0, 0, 1):
+            n_orth += 1
+        elif step == (0, 1, 1) and b[2] == a[2]:
+            n_diag += 1
+        else:
+            raise ValueError(f"illegal hop {a} -> {b}")
+    return n_orth * resolution + n_diag * (resolution * SQRT2)
+
+
+def _euclid(a, b, resolution: float) -> float:
+    return resolution * math.sqrt((a[0] - b[0])**2 + (a[1] - b[1])**2 + (a[2] - b[2])**2)
+
+
+def astar(graph: MapGraph, start, goal,
+          clearance_weight: float = 0.0) -> OptimalPath:
+    """A* with the Euclidean heuristic. Ties on f are broken by lower h,
+    then lexicographic vertex, so expansion order is deterministic.
+
+    With clearance_weight > 0 the search cost adds that penalty for every
+    crowded vertex entered (an obstacle in its same-z 8-neighborhood), so
+    the path keeps a lane of clearance wherever one exists at acceptable
+    extra length. The penalty only shapes the search; the returned length
+    is always the metric length of the waypoint chain. The default weight
+    of zero is the plain shortest-path oracle."""
+    start, goal = tuple(start), tuple(goal)
+    for name, v in (("start", start), ("goal", goal)):
+        if not graph.is_vertex(v):
+            raise NoPathError(f"{name} voxel {v} is not a free vertex")
+    if clearance_weight < 0:
+        raise ConfigError(
+            f"clearance_weight must be >= 0, got {clearance_weight}")
+    crowding = graph.crowding if clearance_weight > 0 else None
+    res = graph.grid.resolution
+    h0 = _euclid(start, goal, res)
+    heap = [(h0, h0, start)]
+    g = {start: 0.0}
+    came: dict = {}
+    closed = set()
+    expanded = 0
+    while heap:
+        _, _, v = heapq.heappop(heap)
+        if v in closed:
+            continue
+        closed.add(v)
+        expanded += 1
+        if v == goal:
+            waypoints = [v]
+            while v in came:
+                v = came[v]
+                waypoints.append(v)
+            waypoints.reverse()
+            return OptimalPath(waypoints=waypoints,
+                               length=path_cost(waypoints, res),
+                               expanded=expanded)
+        gv = g[v]
+        for w, cost in graph.neighbors(v):
+            ng = gv + cost
+            if crowding is not None and crowding[w[0], w[1], w[2]]:
+                ng += clearance_weight
+            if w not in g or ng < g[w]:
+                g[w] = ng
+                came[w] = v
+                hw = _euclid(w, goal, res)
+                heapq.heappush(heap, (ng + hw, hw, w))
+    raise NoPathError(f"no path from {start} to {goal}")
+
+
+@dataclass(frozen=True)
+class Region:
+    name: str
+    x_lo: int
+    x_hi: int
+
+
+def partition_regions(grid: VoxelGrid, fractions,
+                      min_pair_distance: float = 0.0) -> tuple[Region, ...]:
+    """Split the map into train/validation/test slabs along x.
+
+    fractions must be three positive numbers summing to 1.
+    """
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) != len(REGION_NAMES):
+        raise ConfigError(f"expected {len(REGION_NAMES)} fractions, got {len(fractions)}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError(f"fractions must sum to 1, got {fractions}")
+    if any(f <= 0.0 for f in fractions):
+        raise ConfigError(f"every region needs a positive fraction, got {fractions}")
+    nx = grid.dims[0]
+    edges = [0]
+    acc = 0.0
+    for f in fractions:
+        acc += f
+        edges.append(int(round(acc * nx)))
+    edges[-1] = nx
+    regions = []
+    for name, lo, hi in zip(REGION_NAMES, edges[:-1], edges[1:]):
+        if hi - lo < 2:
+            raise ConfigError(f"region {name!r} slab [{lo},{hi}) is too narrow")
+        extent = (hi - lo) * grid.resolution
+        if min_pair_distance > 0.0 and extent < min_pair_distance and name == "test":
+            # the slab must at least diagonally host the requested separation
+            diag = math.hypot(extent, (grid.dims[1] - 2) * grid.resolution)
+            if diag < min_pair_distance:
+                raise ConfigError(
+                    f"region {name!r} extent {extent:.1f} m cannot host "
+                    f"pairs {min_pair_distance:.1f} m apart")
+        regions.append(Region(name=name, x_lo=lo, x_hi=hi))
+    return tuple(regions)
+
+
+@dataclass
+class Task:
+    """A spawn/goal pair inside one region, with its optimal path."""
+
+    spawn: tuple
+    goal: tuple
+    path: OptimalPath
+    region: str = ""
+
+    def distance(self, resolution: float) -> float:
+        return _euclid(self.spawn, self.goal, resolution)
+
+
+class TaskSampler:
+    """Draws spawn/goal tasks of a requested separation within a region."""
+
+    def __init__(self, graph: MapGraph, regions, flight_z: int | None = None):
+        self.graph = graph
+        self.regions = {r.name: r for r in regions}
+        self.flight_z = flight_z
+        self._verts: dict[str, np.ndarray] = {}
+        free = graph.free.copy()
+        if graph.vertical_locked:
+            if flight_z is None:
+                raise ConfigError("vertical_locked graphs need a flight_z level")
+            keep = np.zeros_like(free)
+            keep[:, :, flight_z] = free[:, :, flight_z]
+            free = keep
+        for r in regions:
+            ids = np.argwhere(free[r.x_lo:r.x_hi])
+            ids[:, 0] += r.x_lo
+            self._verts[r.name] = ids
+
+    def vertices(self, region: str) -> np.ndarray:
+        return self._verts[region]
+
+    def sample(self, region: str, distance: float, rng,
+               tolerance: float = 0.3, max_tries: int = 60) -> Task:
+        """Random task whose spawn-goal separation is within
+        distance * (1 +- tolerance). Raises ConfigError when the region
+        cannot supply one."""
+        verts = self._verts[region]
+        if len(verts) < 2:
+            raise ConfigError(f"region {region!r} has too few free vertices")
+        res = self.graph.grid.resolution
+        lo, hi = distance * (1 - tolerance), distance * (1 + tolerance)
+        for _ in range(max_tries):
+            s = verts[int(rng.integers(len(verts)))]
+            d = np.linalg.norm((verts - s).astype(float), axis=1) * res
+            cand = np.flatnonzero((d >= lo) & (d <= hi))
+            if cand.size == 0:
+                continue
+            gidx = verts[int(cand[int(rng.integers(cand.size))])]
+            try:
+                path = astar(self.graph, tuple(s), tuple(gidx))
+            except NoPathError:
+                continue
+            path.region = region
+            return Task(spawn=tuple(int(c) for c in s),
+                        goal=tuple(int(c) for c in gidx), path=path, region=region)
+        raise ConfigError(
+            f"could not sample a {distance:.0f} m task in region {region!r} "
+            f"after {max_tries} tries")
+
+
+@dataclass
+class LabeledDataset:
+    """Expert supervision: flattened observation FIFOs and the optimal next
+    motion at each step of each optimal path."""
+
+    fifo_vectors: np.ndarray
+    targets: np.ndarray
+    depth: int
+    p_f: int = 3
+    p_d: int = 3
+
+    def __len__(self) -> int:
+        return self.fifo_vectors.shape[0]
+
+    @property
+    def obs_width(self) -> int:
+        return self.fifo_vectors.shape[1] // self.depth
+
+
+def _check_crowd_boost(crowd_boost) -> int:
+    if int(crowd_boost) != crowd_boost or crowd_boost < 1:
+        raise ConfigError(
+            f"crowd_boost must be a positive integer, got {crowd_boost}")
+    return int(crowd_boost)
+
+
+def label_dataset(grid: VoxelGrid, paths, depth: int,
+                  max_step: float = worldsim.DEFAULT_MAX_STEP,
+                  sensor: SensorConfig | None = None,
+                  jitter: float = 0.0, rng=None,
+                  crowd_boost: int = 1) -> LabeledDataset:
+    """Replay each optimal path, sensing at every waypoint at the given
+    (default max) power levels, and record (FIFO, next motion delta) pairs.
+    A path with W waypoints yields W - 1 samples.
+
+    With jitter > 0, each interior waypoint is sensed from a position
+    perturbed horizontally by U(-jitter, jitter) per axis (kept only if
+    free), and the target is corrected to point at the next waypoint from
+    the perturbed position. A policy imitating the replayed paths drifts
+    off the waypoint lattice at flight time; perturbed sensing supervises
+    exactly those off-lattice states, which plain replay never visits.
+
+    With crowd_boost > 1, samples sensed from a crowded voxel (obstacle in
+    the same-z 8-neighborhood) are duplicated that many times. Collisions
+    happen almost exclusively in crowded voxels, yet most samples come from
+    open space; boosting makes the regression loss pay proportionally more
+    attention where a wrong motion actually costs a crash."""
+    if sensor is None:
+        sensor = SensorConfig(3, 3)
+    if jitter < 0:
+        raise ConfigError(f"jitter must be >= 0, got {jitter}")
+    if jitter > 0 and rng is None:
+        rng = np.random.default_rng(0)
+    crowd_boost = _check_crowd_boost(crowd_boost)
+    crowd = crowding_mask(grid.occupancy) if crowd_boost > 1 else None
+    res = grid.resolution
+    xs, ys = [], []
+    for path in paths:
+        pts = path.points(res) if isinstance(path, OptimalPath) else \
+            (np.asarray(path, dtype=float) + 0.5) * res
+        fifo = FifoQueue(depth, OBS_WIDTH)
+        last = np.zeros(3)
+        goal = pts[-1]
+        for k in range(len(pts) - 1):
+            pos = pts[k]
+            if jitter > 0 and k > 0:
+                for _ in range(8):
+                    cand = pts[k].copy()
+                    cand[:2] += rng.uniform(-jitter, jitter, size=2)
+                    if not grid.occupied_at(cand):
+                        pos = cand
+                        break
+            state = DroneState(position=pos, goal=goal)
+            obs = sense(grid, state, sensor, last_action=last)
+            fifo.push(obs.vector())
+            target = np.clip(pts[k + 1] - pos, -max_step, max_step)
+            reps = 1
+            if crowd is not None:
+                v = grid.voxel_of(pos)
+                if crowd[v[0], v[1], v[2]]:
+                    reps = crowd_boost
+            for _ in range(reps):
+                xs.append(fifo.flatten())
+                ys.append(target)
+            last = target / max_step
+    if not xs:
+        raise ConfigError("no paths supplied, dataset would be empty")
+    return LabeledDataset(fifo_vectors=np.asarray(xs), targets=np.asarray(ys),
+                          depth=depth, p_f=sensor.p_f, p_d=sensor.p_d)
+
+
+def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
+                   max_step: float = worldsim.DEFAULT_MAX_STEP,
+                   sensor: SensorConfig | None = None,
+                   goal_radius: float = worldsim.DEFAULT_GOAL_RADIUS,
+                   clearance_weight: float = 0.0,
+                   max_steps: int | None = None,
+                   crowd_boost: int = 1) -> LabeledDataset:
+    """Fly the policy closed-loop over the tasks and label every visited
+    state with the first hop of a fresh shortest path from its voxel to the
+    goal (clipped to the step bound).
+
+    Path replay supervises only states on the planned paths; a partially
+    trained policy drifts off that set within a few steps and then flies
+    unsupervised. Rollout labeling closes the loop: the states come from
+    the policy, the corrections from the planner. States in the goal voxel,
+    or ones the planner cannot reach the goal from, yield no sample; the
+    episode simply continues until terminal or the step budget (default
+    max(60, 5 * spawn-goal distance)). crowd_boost duplicates samples taken
+    in crowded voxels, as in label_dataset."""
+    if sensor is None:
+        sensor = SensorConfig(3, 3)
+    crowd_boost = _check_crowd_boost(crowd_boost)
+    res = grid.resolution
+    hops: dict = {}
+
+    def first_hop(v, gv):
+        key = (v, gv)
+        if key not in hops:
+            try:
+                p = astar(graph, v, gv, clearance_weight)
+            except NoPathError:
+                p = None
+            hops[key] = None if p is None or p.steps == 0 else \
+                (np.asarray(p.waypoints[1], dtype=float) + 0.5) * res
+        return hops[key]
+
+    xs, ys = [], []
+    for task in tasks:
+        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
+        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
+        gv = tuple(task.goal)
+        state = DroneState(position=spawn, goal=goal,
+                           vertical_locked=graph.vertical_locked)
+        fifo = FifoQueue(depth, OBS_WIDTH)
+        last = np.zeros(3)
+        budget = max_steps or max(60, int(5 * task.distance(res)))
+        for _ in range(budget):
+            obs = sense(grid, state, sensor, last_action=last)
+            fifo.push(obs.vector())
+            x = fifo.flatten()
+            v = grid.voxel_of(state.position)
+            if v != gv:
+                nxt = first_hop(v, gv)
+                if nxt is not None:
+                    reps = crowd_boost if graph.crowding[v[0], v[1], v[2]] \
+                        else 1
+                    target = np.clip(nxt - state.position,
+                                     -max_step, max_step)
+                    for _ in range(reps):
+                        xs.append(x)
+                        ys.append(target)
+            action = np.asarray(policy(x), dtype=float)
+            state = worldsim.step(grid, state, action,
+                                  goal_radius=goal_radius, max_step=max_step)
+            last = worldsim.clamp_motion(action, max_step,
+                                         graph.vertical_locked) / max_step
+            if state.terminal != worldsim.ACTIVE:
+                break
+    if not xs:
+        raise ConfigError("no rollout states to label, dataset would be empty")
+    return LabeledDataset(fifo_vectors=np.asarray(xs), targets=np.asarray(ys),
+                          depth=depth, p_f=sensor.p_f, p_d=sensor.p_d)
+
+
+def merge_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
+    """Concatenate two datasets with matching depth and power levels."""
+    if (a.depth, a.p_f, a.p_d) != (b.depth, b.p_f, b.p_d):
+        raise ConfigError("datasets disagree on depth or power levels")
+    return LabeledDataset(
+        fifo_vectors=np.concatenate([a.fifo_vectors, b.fifo_vectors]),
+        targets=np.concatenate([a.targets, b.targets]),
+        depth=a.depth, p_f=a.p_f, p_d=a.p_d)
+
+
+# file formats
+
+def save_paths(paths, file) -> None:
+    """Plain text: one `i j k` waypoint per line, blank line between paths."""
+    blocks = []
+    for p in paths:
+        wps = p.waypoints if isinstance(p, OptimalPath) else p
+        blocks.append("\n".join(f"{v[0]} {v[1]} {v[2]}" for v in wps))
+    with open(file, "w") as f:
+        f.write("\n\n".join(blocks) + "\n")
+
+
+def load_paths(file) -> list[list[tuple[int, int, int]]]:
+    with open(file) as f:
+        text = f.read()
+    paths = []
+    for block in text.split("\n\n"):
+        block = block.strip()
+        if not block:
+            continue
+        wps = []
+        for ln in block.splitlines():
+            parts = ln.split()
+            if len(parts) != 3:
+                raise LoadError(f"{file}: bad waypoint line {ln!r}")
+            wps.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        paths.append(wps)
+    return paths
+
+
+def save_dataset(ds: LabeledDataset, path, config_hash: str = "") -> None:
+    """Header line with layout fields, then fixed-width little-endian float32
+    records of (fifo vector, target motion)."""
+    n, w = ds.fifo_vectors.shape
+    header = f"{DATASET_MAGIC} {ds.obs_width} {ds.depth} {ds.p_f} {ds.p_d} {n} {config_hash}\n"
+    rec = np.concatenate([ds.fifo_vectors, ds.targets], axis=1)
+    with open(path, "wb") as f:
+        f.write(header.encode())
+        f.write(np.ascontiguousarray(rec, dtype="<f4").tobytes())
+
+
+def load_dataset(path) -> tuple[LabeledDataset, str]:
+    with open(path, "rb") as f:
+        header = f.readline().decode(errors="replace").rstrip("\n")
+        blob = f.read()
+    parts = header.split()
+    if " ".join(parts[:2]) != DATASET_MAGIC or len(parts) not in (7, 8):
+        raise LoadError(f"{path}: bad dataset header {header!r}")
+    obs_width, depth, p_f, p_d, n = (int(x) for x in parts[2:7])
+    config_hash = parts[7] if len(parts) == 8 else ""
+    width = obs_width * depth + 3
+    if len(blob) != 4 * n * width:
+        raise LoadError(f"{path}: expected {4 * n * width} bytes, got {len(blob)}")
+    rec = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(n, width)
+    ds = LabeledDataset(fifo_vectors=rec[:, :obs_width * depth].copy(),
+                        targets=rec[:, obs_width * depth:].copy(),
+                        depth=depth, p_f=p_f, p_d=p_d)
+    return ds, config_hash

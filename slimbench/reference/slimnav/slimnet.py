@@ -1,0 +1,430 @@
+"""Width-slimmable dense networks.
+
+A network holds full-size weight matrices; a SlimMask selects, per forward
+pass, a prefix of each hidden layer (the first roof(rho * q_i) nodes) and an
+arbitrary subset of input nodes. The masked pass computes on the physically
+sliced sub-matrices, so it is bit-identical to running an explicitly
+truncated copy of the network.
+
+Parameters are kept float32-representable (init and every optimizer step
+round through float32) so the float32 weight file round-trips exactly.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ConfigError, LoadError, TrainingError
+from .worldsim import ObservationLayout
+
+WEIGHTS_MAGIC = "NAVISLIM-W v1"
+
+_ACTIVATIONS = ("relu",)
+_OUTPUTS = ("identity", "tanh", "bounded")
+
+
+def active_width(rho: float, q: int) -> int:
+    """Active node count of a hidden layer of full width q at slimming rho."""
+    return int(math.ceil(rho * q))
+
+
+@dataclass(frozen=True)
+class MLPSpec:
+    """Architecture: u inputs, hidden widths q, v outputs.
+
+    output_activation: "identity", "tanh" (scaled by output_scale), or
+    "bounded" (affine tanh onto [output_low, output_high] per dimension).
+    """
+
+    u: int
+    q: tuple[int, ...]
+    v: int
+    hidden_activation: str = "relu"
+    output_activation: str = "identity"
+    output_scale: float = 1.0
+    output_low: tuple[float, ...] | None = None
+    output_high: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", tuple(int(x) for x in self.q))
+        if self.u < 1 or self.v < 1 or len(self.q) < 1 or any(x < 1 for x in self.q):
+            raise ConfigError(f"invalid layer widths u={self.u} q={self.q} v={self.v}")
+        if self.hidden_activation not in _ACTIVATIONS:
+            raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
+        if self.output_activation not in _OUTPUTS:
+            raise ConfigError(f"unknown output activation {self.output_activation!r}")
+        if self.output_activation == "bounded":
+            if self.output_low is None or self.output_high is None:
+                raise ConfigError("bounded output requires output_low and output_high")
+            lo = tuple(float(x) for x in self.output_low)
+            hi = tuple(float(x) for x in self.output_high)
+            if len(lo) != self.v or len(hi) != self.v or any(l >= h for l, h in zip(lo, hi)):
+                raise ConfigError("bounded output bounds must be length v with low < high")
+            object.__setattr__(self, "output_low", lo)
+            object.__setattr__(self, "output_high", hi)
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return (self.u, *self.q, self.v)
+
+
+class SlimMask:
+    """Active sub-network selection: slimming factor rho (prefix of each
+    hidden layer) plus a boolean input mask."""
+
+    def __init__(self, spec: MLPSpec, rho: float = 1.0, active_inputs=None):
+        if not 0.0 < rho <= 1.0:
+            raise ValueError(f"rho must be in (0, 1], got {rho}")
+        self.rho = float(rho)
+        self.active_hidden = tuple(active_width(rho, qi) for qi in spec.q)
+        if active_inputs is None:
+            active_inputs = np.ones(spec.u, dtype=bool)
+        else:
+            active_inputs = np.asarray(active_inputs, dtype=bool)
+            if active_inputs.shape != (spec.u,):
+                raise ValueError(f"input mask must have shape ({spec.u},)")
+            if not active_inputs.any():
+                raise ValueError("input mask deactivates every input")
+        self.active_inputs = active_inputs
+        # None means "all active": lets the forward pass take slice views
+        self.input_index = None if active_inputs.all() else np.flatnonzero(active_inputs)
+
+
+@dataclass
+class Grads:
+    """Full-shape parameter gradients (zero on severed entries) plus the
+    gradient with respect to the network input."""
+
+    weights: list
+    biases: list
+    inputs: np.ndarray | None = None
+
+    def add_(self, other: "Grads") -> "Grads":
+        for a, b in zip(self.weights, other.weights):
+            a += b
+        for a, b in zip(self.biases, other.biases):
+            a += b
+        return self
+
+    def all_finite(self) -> bool:
+        return all(np.isfinite(w).all() for w in self.weights) and \
+            all(np.isfinite(b).all() for b in self.biases)
+
+
+def _f32(a: np.ndarray) -> np.ndarray:
+    # round values to float32 precision but keep float64 storage for math
+    return a.astype(np.float32).astype(np.float64)
+
+
+class SlimmableMLP:
+    """Dense ReLU network trainable at any slimming factor.
+
+    Weight matrices are stored (fan_in, fan_out); forward is x @ W + b.
+    """
+
+    def __init__(self, spec: MLPSpec, seed: int = 0, init: bool = True):
+        self.spec = spec
+        self.seed = int(seed)
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        if init:
+            rng = np.random.default_rng(seed)
+            sizes = spec.layer_sizes
+            for i in range(len(sizes) - 1):
+                fan_in, fan_out = sizes[i], sizes[i + 1]
+                if i < len(sizes) - 2:
+                    limit = math.sqrt(6.0 / fan_in)          # He uniform for ReLU
+                else:
+                    limit = math.sqrt(6.0 / (fan_in + fan_out))  # Xavier for output
+                self.weights.append(_f32(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
+                self.biases.append(_f32(np.zeros(fan_out)))
+
+    def full_mask(self) -> SlimMask:
+        return SlimMask(self.spec)
+
+    def copy(self) -> "SlimmableMLP":
+        net = SlimmableMLP(self.spec, seed=self.seed, init=False)
+        net.weights = [w.copy() for w in self.weights]
+        net.biases = [b.copy() for b in self.biases]
+        return net
+
+    def copy_weights_from(self, other: "SlimmableMLP") -> None:
+        for a, b in zip(self.weights, other.weights):
+            a[:] = b
+        for a, b in zip(self.biases, other.biases):
+            a[:] = b
+
+    # forward / backward
+
+    def forward(self, x, mask: SlimMask | None = None, return_cache: bool = False):
+        spec = self.spec
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        a = x[None, :] if single else x
+        if a.ndim != 2 or a.shape[1] != spec.u:
+            raise ValueError(f"expected input width {spec.u}, got shape {x.shape}")
+        if mask is None:
+            mask = SlimMask(spec)
+        idx = mask.input_index
+        if idx is not None:
+            a = a[:, idx]
+        # canonical memory layout: matmul accumulation order must not depend
+        # on how the caller sliced the batch or on the input slice above
+        a = np.ascontiguousarray(a)
+        widths = mask.active_hidden
+        zs, acts = [], [a]
+        for i, h in enumerate(widths):
+            W, b = self.weights[i], self.biases[i]
+            if i == 0:
+                Wa = W[idx][:, :h] if idx is not None else W[:, :h]
+            else:
+                Wa = W[:widths[i - 1], :h]
+            # contiguous like a truncated copy's matrices, so the matmul
+            # accumulates in the same order and the outputs match bit for bit
+            z = a @ np.ascontiguousarray(Wa) + b[:h]
+            zs.append(z)
+            a = np.maximum(z, 0.0)
+            acts.append(a)
+        W, b = self.weights[-1], self.biases[-1]
+        z = a @ W[:widths[-1], :] + b
+        y, out_aux = self._apply_output(z)
+        if single:
+            y = y[0]
+        if not return_cache:
+            return y
+        cache = (mask, zs, acts, out_aux, single)
+        return y, cache
+
+    def _apply_output(self, z):
+        spec = self.spec
+        if spec.output_activation == "identity":
+            return z, None
+        t = np.tanh(z)
+        if spec.output_activation == "tanh":
+            return spec.output_scale * t, t
+        lo = np.asarray(spec.output_low)
+        hi = np.asarray(spec.output_high)
+        return lo + 0.5 * (t + 1.0) * (hi - lo), t
+
+    def backward(self, cache, grad_output) -> Grads:
+        """Gradients of a scalar loss given d(loss)/d(output). Severed
+        parameters receive exactly zero gradient."""
+        spec = self.spec
+        mask, zs, acts, out_aux, single = cache
+        g = np.asarray(grad_output, dtype=float)
+        if single:
+            g = g[None, :]
+        if spec.output_activation == "identity":
+            dz = g
+        elif spec.output_activation == "tanh":
+            dz = g * spec.output_scale * (1.0 - out_aux**2)
+        else:
+            hi = np.asarray(spec.output_high)
+            lo = np.asarray(spec.output_low)
+            dz = g * 0.5 * (hi - lo) * (1.0 - out_aux**2)
+
+        dW = [np.zeros_like(w) for w in self.weights]
+        db = [np.zeros_like(b) for b in self.biases]
+        widths = mask.active_hidden
+        idx = mask.input_index
+
+        h_last = widths[-1]
+        dW[-1][:h_last, :] = acts[-1].T @ dz
+        db[-1][:] = dz.sum(axis=0)
+        da = dz @ self.weights[-1][:h_last, :].T
+
+        for i in range(len(widths) - 1, -1, -1):
+            h = widths[i]
+            dz = da * (zs[i] > 0)
+            if i == 0:
+                if idx is not None:
+                    dW[0][np.ix_(idx, np.arange(h))] = acts[0].T @ dz
+                    Wa = self.weights[0][idx][:, :h]
+                else:
+                    dW[0][:, :h] = acts[0].T @ dz
+                    Wa = self.weights[0][:, :h]
+            else:
+                hp = widths[i - 1]
+                dW[i][:hp, :h] = acts[i].T @ dz
+                Wa = self.weights[i][:hp, :h]
+            db[i][:h] = dz.sum(axis=0)
+            da = dz @ Wa.T
+
+        if idx is not None:
+            dx = np.zeros((da.shape[0], spec.u))
+            dx[:, idx] = da
+        else:
+            dx = da
+        if single:
+            dx = dx[0]
+        return Grads(weights=dW, biases=db, inputs=dx)
+
+    def truncated(self, mask: SlimMask) -> "SlimmableMLP":
+        """Physically truncated copy: weight matrices sliced to the active
+        sub-network, no masking left."""
+        spec = self.spec
+        u = spec.u if mask.input_index is None else int(mask.input_index.size)
+        sub_spec = MLPSpec(u=u, q=mask.active_hidden, v=spec.v,
+                           hidden_activation=spec.hidden_activation,
+                           output_activation=spec.output_activation,
+                           output_scale=spec.output_scale,
+                           output_low=spec.output_low, output_high=spec.output_high)
+        net = SlimmableMLP(sub_spec, seed=self.seed, init=False)
+        widths = mask.active_hidden
+        for i, h in enumerate(widths):
+            W = self.weights[i]
+            if i == 0:
+                Wa = W[mask.input_index][:, :h] if mask.input_index is not None else W[:, :h]
+            else:
+                Wa = W[:widths[i - 1], :h]
+            net.weights.append(Wa.copy())
+            net.biases.append(self.biases[i][:h].copy())
+        net.weights.append(self.weights[-1][:widths[-1], :].copy())
+        net.biases.append(self.biases[-1].copy())
+        return net
+
+
+def active_params(spec: MLPSpec, rho: float, active_inputs=None) -> tuple[int, float]:
+    """Parameter count of the active sub-network at slimming factor rho.
+
+    Returns (exact, continuous): exact counts weights+biases with hidden
+    widths roof(rho * q_i); continuous evaluates the closed-form quadratic
+      (sum_i q_i q_{i+1}) rho^2 + (u q_1 + v q_l + sum_i q_i) rho + v.
+    The two agree whenever every rho * q_i is an integer.
+    """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    q = spec.q
+    if active_inputs is None:
+        u = spec.u
+    else:
+        active_inputs = np.asarray(active_inputs, dtype=bool)
+        if active_inputs.shape != (spec.u,):
+            raise ValueError(f"input mask must have shape ({spec.u},)")
+        u = int(np.count_nonzero(active_inputs))
+    hs = [active_width(rho, qi) for qi in q]
+    m = u * hs[0] + hs[0]
+    for i in range(len(hs) - 1):
+        m += hs[i] * hs[i + 1] + hs[i + 1]
+    m += hs[-1] * spec.v + spec.v
+    quad = sum(q[i] * q[i + 1] for i in range(len(q) - 1))
+    lin = u * q[0] + spec.v * q[-1] + sum(q)
+    m_cont = quad * rho**2 + lin * rho + spec.v
+    return m, float(m_cont)
+
+
+def input_mask_from_power(p_f: int, p_d: int, layout: ObservationLayout) -> np.ndarray:
+    """Active-input mask for a FIFO of observations acquired at power levels
+    (p_f, p_d): exactly the nested ray positions the sensor acquires, with
+    goal and last-action features always active, tiled across all slots."""
+    return np.tile(layout.slot_mask(p_f, p_d), layout.depth)
+
+
+# optimizers
+
+def _check_grads(grads: Grads) -> None:
+    if not grads.all_finite():
+        bad = [i for i, w in enumerate(grads.weights) if not np.isfinite(w).all()]
+        bad += [f"b{i}" for i, b in enumerate(grads.biases) if not np.isfinite(b).all()]
+        raise TrainingError(f"non-finite gradient in layers {bad}")
+
+
+def sgd_step(net: SlimmableMLP, grads: Grads, lr: float) -> None:
+    _check_grads(grads)
+    for w, g in zip(net.weights, grads.weights):
+        w[:] = _f32(w - lr * g)
+    for b, g in zip(net.biases, grads.biases):
+        b[:] = _f32(b - lr * g)
+
+
+class SGD:
+    def __init__(self, net: SlimmableMLP, lr: float):
+        self.net = net
+        self.lr = lr
+
+    def step(self, grads: Grads) -> None:
+        sgd_step(self.net, grads, self.lr)
+
+
+class Adam:
+    def __init__(self, net: SlimmableMLP, lr: float = 1e-3, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
+        self.net = net
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+
+    def step(self, grads: Grads) -> None:
+        _check_grads(grads)
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1**self.t
+        c2 = 1.0 - b2**self.t
+        params = self.net.weights + self.net.biases
+        gs = grads.weights + grads.biases
+        for p, g, m, v in zip(params, gs, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p[:] = _f32(p - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
+
+
+# weight file io
+
+def save_weights(net: SlimmableMLP, path, config_hash: str = "") -> None:
+    """Write magic line, one json spec line, then per layer the weight matrix
+    (row major) and bias vector as little-endian float32."""
+    spec = net.spec
+    head = {
+        "u": spec.u, "q": list(spec.q), "v": spec.v,
+        "hidden": spec.hidden_activation, "output": spec.output_activation,
+        "scale": spec.output_scale,
+        "low": list(spec.output_low) if spec.output_low else None,
+        "high": list(spec.output_high) if spec.output_high else None,
+        "seed": net.seed, "config": config_hash,
+    }
+    with open(path, "wb") as f:
+        f.write((WEIGHTS_MAGIC + "\n").encode())
+        f.write((json.dumps(head, sort_keys=True) + "\n").encode())
+        for W, b in zip(net.weights, net.biases):
+            f.write(np.ascontiguousarray(W, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+
+
+def load_weights(path) -> tuple[SlimmableMLP, str]:
+    """Inverse of save_weights. Returns (net, config_hash)."""
+    with open(path, "rb") as f:
+        magic = f.readline().decode(errors="replace").rstrip("\n")
+        if magic != WEIGHTS_MAGIC:
+            raise LoadError(f"{path}: bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
+        try:
+            head = json.loads(f.readline().decode())
+            spec = MLPSpec(u=head["u"], q=tuple(head["q"]), v=head["v"],
+                           hidden_activation=head["hidden"],
+                           output_activation=head["output"],
+                           output_scale=head["scale"],
+                           output_low=tuple(head["low"]) if head["low"] else None,
+                           output_high=tuple(head["high"]) if head["high"] else None)
+        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as e:
+            raise LoadError(f"{path}: bad spec header: {e}") from e
+        blob = f.read()
+    net = SlimmableMLP(spec, seed=int(head.get("seed", 0)), init=False)
+    sizes = spec.layer_sizes
+    need = sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
+    if len(blob) != 4 * need:
+        raise LoadError(f"{path}: expected {4 * need} bytes of weights, got {len(blob)}")
+    flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    pos = 0
+    for i in range(len(sizes) - 1):
+        n = sizes[i] * sizes[i + 1]
+        net.weights.append(flat[pos:pos + n].reshape(sizes[i], sizes[i + 1]).copy())
+        pos += n
+        net.biases.append(flat[pos:pos + sizes[i + 1]].copy())
+        pos += sizes[i + 1]
+    return net, str(head.get("config", ""))
