@@ -359,9 +359,7 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                        vertical_locked=vertical_locked)
     fifo = FifoQueue(depth, OBS_WIDTH)
     last_action = np.zeros(3)
-    powers = tuple(fixed_powers) if mode == "S" else MAX_POWER
-    if mode == "S":
-        powers = MAX_POWER  # first acquisition is always max power
+    powers = MAX_POWER  # first acquisition is always max power
 
     def select_action(x):
         if policy is not None:
@@ -494,7 +492,7 @@ def _mode_bounds(mode: str, rho_min: float):
 
 
 def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,
-                    rng, *, weights, constraint=None, depth=4, rho_min=0.25,
+                    rng, *, weights, depth=4, rho_min=0.25,
                     goal_radius=DEFAULT_GOAL_RADIUS, max_step=DEFAULT_MAX_STEP,
                     max_range=DEFAULT_MAX_RANGE, max_steps=200) -> list:
     """Deterministic-policy episodes on sampled tasks; returns EpisodeLogs."""
@@ -504,10 +502,9 @@ def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,
         sampler = samplers[int(rng.integers(len(samplers)))]
         task = sampler.sample(region, distance, rng)
         grid = sampler.graph.grid
-        res = grid.resolution
-        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
-        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
-        log = run_episode(grid, nav, None, mode, spawn=spawn, goal=goal,
+        log = run_episode(grid, nav, None, mode,
+                          spawn=grid.center_of(task.spawn),
+                          goal=grid.center_of(task.goal),
                           weights=weights, depth=depth, rho_min=rho_min,
                           goal_radius=goal_radius, max_step=max_step,
                           max_range=max_range, max_steps=max_steps,
@@ -589,10 +586,9 @@ def train_auxiliary(samplers, nav: SlimmableMLP, mode: str,
         sampler = samplers[int(rng.integers(len(samplers)))]
         task = sampler.sample("train", cur.distance, rng)
         grid = sampler.graph.grid
-        res = grid.resolution
-        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
-        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
-        log = run_episode(grid, nav, None, mode, spawn=spawn, goal=goal,
+        log = run_episode(grid, nav, None, mode,
+                          spawn=grid.center_of(task.spawn),
+                          goal=grid.center_of(task.goal),
                           weights=weights, depth=depth, rho_min=rho_min,
                           goal_radius=goal_radius, max_step=max_step,
                           max_range=max_range, max_steps=td3_cfg.max_episode_steps,

@@ -10,6 +10,14 @@ Run a stage as ``slimnav <stage>`` once the package is installed, or as
 ``python -m slimnav <stage>`` from a checkout with ``src`` on
 ``PYTHONPATH``. Both follow the same exit-code contract.
 
+The configuration is the defaults below, then the JSON file given by
+``--config``, then each ``--set section.key=VALUE`` in order. VALUE is
+parsed as JSON and must match the field's type: a list for a tuple field,
+an integer for an int field, a finite number for a float field, true or
+false for a bool field, null only where the field allows it. A VALUE that
+does not parse as JSON is a string, valid only for a string field
+(``mode``, ``out_dir``).
+
 Exit codes: 0 success, 2 configuration error, 3 missing/mismatched
 dependency artifact, 4 path-length constraint gate failed.
 """
@@ -19,9 +27,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +82,7 @@ EPISODE_COLUMNS = ("episode_id,t,x,y,z,rho,p_f,p_d,reward,m_active,"
 
 @dataclass
 class WorldSection:
-    dims: tuple = (64, 64, 8)
+    dims: tuple[int, int, int] = (64, 64, 8)
     resolution: float = 1.0
     density: float = 0.1
     seed: int = 7
@@ -82,22 +92,19 @@ class WorldSection:
     max_step: float = 2.0
 
 
-@dataclass
-class SensorSection:
-    p_f: int = 3
-    p_d: int = 3
-    max_range: float = 100.0
+@dataclass(frozen=True)
+class SensorSection(SensorConfig):
     fifo_depth: int = 4
 
 
 @dataclass
 class OracleSection:
     seed: int = 0
-    region_fractions: tuple = (0.5, 0.25, 0.25)
+    region_fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
     n_train_paths: int = 1600
     n_val_paths: int = 60
     n_test_paths: int = 60
-    distances: tuple = (5, 10, 15, 20, 25, 30, 35, 40, 45)
+    distances: tuple[float, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45)
     sample_tolerance: float = 0.3
     label_jitter: float = 0.3
     clearance_weight: float = 0.5
@@ -106,7 +113,7 @@ class OracleSection:
 
 @dataclass
 class NavSection:
-    hidden: tuple = (128, 128)
+    hidden: tuple[int, ...] = (128, 128)
     output_scale: float = 2.0
     rho_min: float = 0.25
     n_random_rhos: int = 2
@@ -120,37 +127,15 @@ class NavSection:
 
 
 @dataclass
-class AuxSection:
-    actor_hidden: tuple = (32, 32)
-    critic_hidden: tuple = (64, 64)
+class AuxSection(TD3Config):
+    actor_hidden: tuple[int, ...] = (32, 32)
+    critic_hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
     total_env_steps: int = 30_000
     eval_every_episodes: int = 20
     eval_episodes: int = 10
     gate_episodes: int = 20
     gate_distance: float | None = 20.0
-    gamma: float = 0.99
-    tau: float = 0.005
-    policy_delay: int = 2
-    exploration_steps: int = 2000
-    action_noise_std: float = 0.1
-    target_noise_std: float = 0.2
-    target_noise_clip: float = 0.5
-    batch_size: int = 128
-    buffer_capacity: int = 100_000
-    lr_actor: float = 1e-3
-    lr_critic: float = 1e-3
-    max_episode_steps: int = 200
-
-
-@dataclass
-class RewardSection:
-    collision: float = 10.0
-    goal: float = 10.0
-    progress: float = 1.0
-    time: float = 0.1
-    compute: float = 0.1
-    sensing: float = 0.05
 
 
 @dataclass
@@ -162,17 +147,11 @@ class CurriculumSection:
 
 
 @dataclass
-class ConstraintSection:
-    alpha: float = 0.5
-    beta: float = 1.5
-
-
-@dataclass
 class EvalSection:
     seed: int = 123
-    buckets: tuple = (10, 20, 30, 40)
+    buckets: tuple[float, ...] = (10, 20, 30, 40)
     episodes_per_bucket: int = 60
-    rho_grid: tuple = (0.25, 0.5, 0.75, 1.0)
+    rho_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
     adapt_episodes: int = 60
     adapt_distance: float = 20.0
     heatmap_bin: int = 8
@@ -183,8 +162,8 @@ class EvalSection:
 @dataclass
 class BenchSection:
     seed: int = 0
-    sizes: tuple = ((32,), (64, 64), (128, 128), (256, 256))
-    aux_hidden: tuple = (32, 32)
+    sizes: tuple[tuple[int, ...], ...] = ((32,), (64, 64), (128, 128), (256, 256))
+    aux_hidden: tuple[int, ...] = (32, 32)
     n_observations: int = 200
     repeats: int = 5
 
@@ -198,9 +177,9 @@ class ExperimentConfig:
     oracle: OracleSection = field(default_factory=OracleSection)
     nav: NavSection = field(default_factory=NavSection)
     aux: AuxSection = field(default_factory=AuxSection)
-    reward: RewardSection = field(default_factory=RewardSection)
+    reward: RewardWeights = field(default_factory=RewardWeights)
     curriculum: CurriculumSection = field(default_factory=CurriculumSection)
-    constraint: ConstraintSection = field(default_factory=ConstraintSection)
+    constraint: ConstraintConfig = field(default_factory=ConstraintConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     bench: BenchSection = field(default_factory=BenchSection)
 
@@ -208,24 +187,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        cfg = cls()
-        sections = {f.name: f for f in dataclasses.fields(cls)}
+        """Build each section through its constructor, so every value is
+        checked against its field's annotation and the sections' own checks
+        run; the first bad name or value raises ConfigError."""
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
         for key, val in data.items():
-            if key not in sections:
+            if key not in hints:
                 raise ConfigError(f"unknown config section or key {key!r}")
-            if key in ("mode", "out_dir"):
-                setattr(cfg, key, val)
-                continue
-            section = getattr(cfg, key)
-            names = {f.name for f in dataclasses.fields(section)}
-            if not isinstance(val, dict):
-                raise ConfigError(f"section {key!r} must be a table of keys")
-            for k, v in val.items():
-                if k not in names:
-                    raise ConfigError(f"unknown key {key}.{k}")
-                if isinstance(v, list):
-                    v = _as_tuple(v)
-                setattr(section, k, v)
+            if dataclasses.is_dataclass(hints[key]):
+                kwargs[key] = _section(key, hints[key], val)
+            else:
+                kwargs[key] = _typed(key, val, hints[key])
+        cfg = cls(**kwargs)
         cfg.validate()
         return cfg
 
@@ -248,10 +222,12 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
+        """Range checks that neither the field types (checked in
+        from_dict) nor the section constructors make."""
         if self.mode not in ("C", "S"):
             raise ConfigError(f"mode must be 'C' or 'S', got {self.mode!r}")
         w = self.world
-        if len(w.dims) != 3 or any(int(d) != d or d < 1 for d in w.dims):
+        if any(d < 1 for d in w.dims):
             raise ConfigError(f"world.dims must be 3 positive ints, got {w.dims}")
         if not 0.0 <= w.density < 1.0:
             raise ConfigError(f"world.density must be in [0, 1), got {w.density}")
@@ -261,28 +237,21 @@ class ExperimentConfig:
             raise ConfigError(f"world.flight_z {w.flight_z} outside [0, {w.dims[2]})")
         if w.goal_radius <= 0 or w.max_step <= 0:
             raise ConfigError("world.goal_radius and world.max_step must be positive")
-        # sensor ranges are enforced by the sensor config itself
-        self.sensor_config()
         if self.sensor.fifo_depth < 1:
             raise ConfigError(f"sensor.fifo_depth must be >= 1, got {self.sensor.fifo_depth}")
         o = self.oracle
-        if len(o.region_fractions) != 3:
-            raise ConfigError("oracle.region_fractions needs exactly 3 entries")
         if min(o.n_train_paths, o.n_val_paths, o.n_test_paths) < 1:
             raise ConfigError("oracle path counts must be positive")
         if not o.distances:
             raise ConfigError("oracle.distances must not be empty")
         if o.label_jitter < 0:
             raise ConfigError(f"oracle.label_jitter must be >= 0, got {o.label_jitter}")
-        if int(o.crowd_boost) != o.crowd_boost or o.crowd_boost < 1:
+        if o.crowd_boost < 1:
             raise ConfigError(f"oracle.crowd_boost must be a positive integer, "
                               f"got {o.crowd_boost}")
         self.nav_spec()
         self.distill_config()
-        self.td3_config()
-        self.reward_weights()
         self.curriculum_controller()
-        self.constraint_config()
         e = self.eval
         if not e.buckets or e.episodes_per_bucket < 1:
             raise ConfigError("eval.buckets must be non-empty with positive episodes")
@@ -292,15 +261,11 @@ class ExperimentConfig:
         if not b.sizes or b.n_observations < 1 or b.repeats < 1:
             raise ConfigError("bench needs sizes, observations, and repeats")
 
-    # adapters to module-level configuration objects
-
-    def sensor_config(self) -> SensorConfig:
-        return SensorConfig(self.sensor.p_f, self.sensor.p_d, self.sensor.max_range)
+    # adapters to module-level objects whose fields differ from a section's
 
     def nav_spec(self) -> MLPSpec:
-        return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH,
-                       q=tuple(int(h) for h in self.nav.hidden), v=3,
-                       output_activation="tanh",
+        return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH, q=self.nav.hidden,
+                       v=3, output_activation="tanh",
                        output_scale=self.nav.output_scale)
 
     def distill_config(self) -> distill.DistillConfig:
@@ -310,41 +275,57 @@ class ExperimentConfig:
             n_random_powers=n.n_random_powers, batch_size=n.batch_size,
             lr=n.lr, max_epochs=n.max_epochs, patience=n.patience, seed=n.seed)
 
-    def td3_config(self) -> TD3Config:
-        a = self.aux
-        return TD3Config(
-            gamma=a.gamma, tau=a.tau, policy_delay=a.policy_delay,
-            exploration_steps=a.exploration_steps,
-            action_noise_std=a.action_noise_std,
-            target_noise_std=a.target_noise_std,
-            target_noise_clip=a.target_noise_clip, batch_size=a.batch_size,
-            buffer_capacity=a.buffer_capacity, lr_actor=a.lr_actor,
-            lr_critic=a.lr_critic, max_episode_steps=a.max_episode_steps)
-
-    def reward_weights(self) -> RewardWeights:
-        r = self.reward
-        return RewardWeights(collision=r.collision, goal=r.goal,
-                             progress=r.progress, time=r.time,
-                             compute=r.compute, sensing=r.sensing)
-
     def curriculum_controller(self) -> CurriculumController:
         c = self.curriculum
         return CurriculumController(start=c.start, increment=c.increment,
                                     maximum=c.maximum, threshold=c.threshold)
 
-    def constraint_config(self) -> ConstraintConfig:
-        return ConstraintConfig(alpha=self.constraint.alpha,
-                                beta=self.constraint.beta)
+
+def _section(name: str, cls, values):
+    if not isinstance(values, dict):
+        raise ConfigError(f"section {name!r} must be a table of keys")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, val in values.items():
+        if key not in hints:
+            raise ConfigError(f"unknown key {name}.{key}")
+        kwargs[key] = _typed(f"{name}.{key}", val, hints[key])
+    try:
+        return cls(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{name}: {e}") from e
+
+
+def _typed(key: str, val, hint):
+    """`val` checked against the annotation `hint`. Lists become tuples;
+    everything else is kept as given (an int in a float field stays an int),
+    so to_dict() returns the values read and the config hash follows them."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {val!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(val)
+        elif len(val) != len(args):
+            raise ConfigError(f"{key} needs {len(args)} entries, got {len(val)}")
+        return tuple(_typed(f"{key}[{i}]", v, a)
+                     for i, (v, a) in enumerate(zip(val, args)))
+    if type(None) in args:
+        if val is None:
+            return None
+        hint = next(a for a in args if a is not type(None))
+    accepted = (int, float) if hint is float else hint
+    if isinstance(val, bool) != (hint is bool) or not isinstance(val, accepted):
+        raise ConfigError(f"{key} must be {hint.__name__}, got {val!r}")
+    if hint is float and not math.isfinite(val):  # json reads NaN, Infinity
+        raise ConfigError(f"{key} must be finite, got {val!r}")
+    return val
 
 
 def _plain(v):
     if isinstance(v, tuple):
         return [_plain(x) for x in v]
     return v
-
-
-def _as_tuple(v):
-    return tuple(_as_tuple(x) if isinstance(x, list) else x for x in v)
 
 
 def load_config(path: str | None, overrides) -> ExperimentConfig:
@@ -357,6 +338,8 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         data.pop("hash", None)
     for item in overrides or []:
         key, eq, raw = item.partition("=")
@@ -437,8 +420,7 @@ def _fmt(x) -> str:
 def cmd_gen_world(cfg: ExperimentConfig) -> int:
     write_config_copy(cfg)
     w = cfg.world
-    grid = worldsim.generate_world(tuple(int(d) for d in w.dims),
-                                   resolution=w.resolution,
+    grid = worldsim.generate_world(w.dims, resolution=w.resolution,
                                    density=w.density, seed=w.seed)
     path = _artifact(cfg, WORLD_FILE)
     worldsim.save_world(grid, path, config_hash=cfg.config_hash())
@@ -456,7 +438,7 @@ def _load_world(cfg: ExperimentConfig) -> VoxelGrid:
 
 def _build_sampler(cfg: ExperimentConfig, grid: VoxelGrid) -> TaskSampler:
     graph = build_graph(grid, vertical_locked=cfg.world.vertical_locked)
-    regions = partition_regions(grid, tuple(cfg.oracle.region_fractions))
+    regions = partition_regions(grid, cfg.oracle.region_fractions)
     flight_z = cfg.world.flight_z if cfg.world.vertical_locked else None
     return TaskSampler(graph, regions, flight_z=flight_z)
 
@@ -497,7 +479,6 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     sampler = _build_sampler(cfg, grid)
     o = cfg.oracle
     rng = np.random.default_rng(o.seed)
-    sensor = cfg.sensor_config()
     counts = {"train": o.n_train_paths, "validation": o.n_val_paths,
               "test": o.n_test_paths}
     for region, n in counts.items():
@@ -510,7 +491,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
         boost = o.crowd_boost if region == "train" else 1
         ds = pathoracle.label_dataset(grid, paths, depth=cfg.sensor.fifo_depth,
                                       max_step=cfg.world.max_step,
-                                      sensor=sensor, jitter=jitter, rng=rng,
+                                      sensor=cfg.sensor, jitter=jitter, rng=rng,
                                       crowd_boost=boost)
         pathoracle.save_dataset(ds, _artifact(cfg, DATA_FILES[region]),
                                 config_hash=cfg.config_hash())
@@ -547,7 +528,7 @@ def cmd_train_nav(cfg: ExperimentConfig) -> int:
         rollout_ds = pathoracle.label_rollouts(
             grid, sampler.graph, tasks, net.forward,
             depth=cfg.sensor.fifo_depth, max_step=cfg.world.max_step,
-            sensor=cfg.sensor_config(), goal_radius=cfg.world.goal_radius,
+            sensor=cfg.sensor, goal_radius=cfg.world.goal_radius,
             clearance_weight=cfg.oracle.clearance_weight,
             crowd_boost=cfg.oracle.crowd_boost)
         union = pathoracle.merge_datasets(train_ds, rollout_ds)
@@ -622,16 +603,15 @@ def cmd_train_aux(cfg: ExperimentConfig) -> int:
     a = cfg.aux
     t0 = time.time()
     result = train_auxiliary(
-        [sampler], nav, cfg.mode, cfg.td3_config(), cfg.reward_weights(),
-        cfg.constraint_config(), depth=cfg.sensor.fifo_depth,
+        [sampler], nav, cfg.mode, cfg.aux, cfg.reward, cfg.constraint,
+        depth=cfg.sensor.fifo_depth,
         rho_min=cfg.nav.rho_min, seed=a.seed,
         total_env_steps=a.total_env_steps,
         eval_every_episodes=a.eval_every_episodes,
         eval_episodes=a.eval_episodes, gate_episodes=a.gate_episodes,
         gate_distance=a.gate_distance,
         curriculum=cfg.curriculum_controller(),
-        actor_hidden=tuple(a.actor_hidden),
-        critic_hidden=tuple(a.critic_hidden),
+        actor_hidden=a.actor_hidden, critic_hidden=a.critic_hidden,
         goal_radius=cfg.world.goal_radius, max_step=cfg.world.max_step,
         max_range=cfg.sensor.max_range)
     chash = cfg.config_hash()
@@ -716,8 +696,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
     rows = []
     if cfg.mode == "C":
-        for rho, rmse in distill.rmse_by_rho(nav, test_ds,
-                                             tuple(e.rho_grid)).items():
+        for rho, rmse in distill.rmse_by_rho(nav, test_ds, e.rho_grid).items():
             rows.append(f"{_fmt(rho)},{len(test_ds)},{_fmt(rmse)}")
         header = "rho,samples,rmse"
     else:
@@ -736,11 +715,10 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
                                   tolerance=e.sample_tolerance)
         except ConfigError:
             continue
-        res = grid.resolution
-        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
-        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
-        log = run_episode(grid, nav, None, cfg.mode, spawn=spawn, goal=goal,
-                          weights=cfg.reward_weights(),
+        log = run_episode(grid, nav, None, cfg.mode,
+                          spawn=grid.center_of(task.spawn),
+                          goal=grid.center_of(task.goal),
+                          weights=cfg.reward,
                           depth=cfg.sensor.fifo_depth,
                           rho_min=cfg.nav.rho_min,
                           goal_radius=cfg.world.goal_radius,
@@ -840,7 +818,7 @@ def _bench_policy_rhos(cfg: ExperimentConfig, obs: np.ndarray) -> np.ndarray:
         actor, found = load_weights(actor_path)
         _check_hash(actor_path, found, cfg.config_hash())
     else:
-        spec = MLPSpec(u=obs.shape[1], q=tuple(cfg.bench.aux_hidden), v=1,
+        spec = MLPSpec(u=obs.shape[1], q=cfg.bench.aux_hidden, v=1,
                        output_activation="bounded",
                        output_low=(cfg.nav.rho_min,), output_high=(1.0,))
         actor = SlimmableMLP(spec, seed=cfg.bench.seed)
@@ -858,13 +836,13 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     n_in = cfg.sensor.fifo_depth * OBS_WIDTH
     obs = rng.uniform(0.0, 1.0, size=(b.n_observations, n_in))
     rhos = _bench_policy_rhos(cfg, obs)
-    aux_spec = MLPSpec(u=n_in, q=tuple(b.aux_hidden), v=1,
+    aux_spec = MLPSpec(u=n_in, q=b.aux_hidden, v=1,
                        output_activation="bounded",
                        output_low=(cfg.nav.rho_min,), output_high=(1.0,))
     aux = SlimmableMLP(aux_spec, seed=b.seed)
     rows = []
     for size in b.sizes:
-        spec = MLPSpec(u=n_in, q=tuple(int(h) for h in size), v=3,
+        spec = MLPSpec(u=n_in, q=size, v=3,
                        output_activation="tanh",
                        output_scale=cfg.nav.output_scale)
         nav = SlimmableMLP(spec, seed=b.seed)
@@ -891,7 +869,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         v = float(np.median(t_full))
         u = float(np.median(t_slim))
         speedup = (v - u) / v
-        label = "x".join(str(int(h)) for h in size)
+        label = "x".join(str(h) for h in size)
         rows.append(f"{label},{_fmt(v)},{_fmt(u)},{_fmt(float(rhos.mean()))},"
                     f"{_fmt(speedup)}")
         print(f"size [{label}]: full {v * 1e3:.2f} ms, adapted {u * 1e3:.2f} ms, "

@@ -246,11 +246,10 @@ def evaluate_navigation(nav: SlimmableMLP, grid, tasks, *, mode: str = "C",
     compares flown step counts to the optimal path's step count, over
     successful episodes."""
     logs = []
-    res = grid.resolution
     for task in tasks:
-        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
-        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
-        log = run_episode(grid, nav, None, mode, spawn=spawn, goal=goal,
+        log = run_episode(grid, nav, None, mode,
+                          spawn=grid.center_of(task.spawn),
+                          goal=grid.center_of(task.goal),
                           weights=weights, depth=depth, fixed_rho=rho,
                           fixed_powers=powers, goal_radius=goal_radius,
                           max_step=max_step, max_range=max_range,

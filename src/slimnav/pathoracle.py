@@ -66,11 +66,8 @@ class MapGraph:
             self._crowding = crowding_mask(self.grid.occupancy)
         return self._crowding
 
-    def vertex_point(self, v) -> np.ndarray:
-        return (np.asarray(v, dtype=float) + 0.5) * self.grid.resolution
-
     def neighbors(self, v):
-        p = self.vertex_point(v)
+        p = self.grid.center_of(v)
         for dx, dy, dz, cost in self.moves:
             w = (v[0] + dx, v[1] + dy, v[2] + dz)
             if not self.is_vertex(w):
@@ -81,7 +78,7 @@ class MapGraph:
                 if not (self.free[v[0] + dx, v[1], v[2]] and
                         self.free[v[0], v[1] + dy, v[2]]):
                     continue
-            if worldsim.segment_hits(self.grid, p, self.vertex_point(w) - p) is not None:
+            if worldsim.segment_hits(self.grid, p, self.grid.center_of(w) - p) is not None:
                 continue
             yield w, cost
 
@@ -351,11 +348,10 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
         rng = np.random.default_rng(0)
     crowd_boost = _check_crowd_boost(crowd_boost)
     crowd = crowding_mask(grid.occupancy) if crowd_boost > 1 else None
-    res = grid.resolution
     xs, ys = [], []
     for path in paths:
-        pts = path.points(res) if isinstance(path, OptimalPath) else \
-            (np.asarray(path, dtype=float) + 0.5) * res
+        pts = grid.center_of(path.waypoints if isinstance(path, OptimalPath)
+                             else path)
         fifo = FifoQueue(depth, OBS_WIDTH)
         last = np.zeros(3)
         goal = pts[-1]
@@ -420,15 +416,14 @@ def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
             except NoPathError:
                 p = None
             hops[key] = None if p is None or p.steps == 0 else \
-                (np.asarray(p.waypoints[1], dtype=float) + 0.5) * res
+                grid.center_of(p.waypoints[1])
         return hops[key]
 
     xs, ys = [], []
     for task in tasks:
-        spawn = (np.asarray(task.spawn, dtype=float) + 0.5) * res
-        goal = (np.asarray(task.goal, dtype=float) + 0.5) * res
         gv = tuple(task.goal)
-        state = DroneState(position=spawn, goal=goal,
+        state = DroneState(position=grid.center_of(task.spawn),
+                           goal=grid.center_of(task.goal),
                            vertical_locked=graph.vertical_locked)
         fifo = FifoQueue(depth, OBS_WIDTH)
         last = np.zeros(3)

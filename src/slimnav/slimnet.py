@@ -333,23 +333,6 @@ def _check_grads(grads: Grads) -> None:
         raise TrainingError(f"non-finite gradient in layers {bad}")
 
 
-def sgd_step(net: SlimmableMLP, grads: Grads, lr: float) -> None:
-    _check_grads(grads)
-    for w, g in zip(net.weights, grads.weights):
-        w[:] = _f32(w - lr * g)
-    for b, g in zip(net.biases, grads.biases):
-        b[:] = _f32(b - lr * g)
-
-
-class SGD:
-    def __init__(self, net: SlimmableMLP, lr: float):
-        self.net = net
-        self.lr = lr
-
-    def step(self, grads: Grads) -> None:
-        sgd_step(self.net, grads, self.lr)
-
-
 class Adam:
     def __init__(self, net: SlimmableMLP, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):

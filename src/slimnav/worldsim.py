@@ -113,6 +113,11 @@ class VoxelGrid:
         v = np.floor(np.asarray(point, dtype=float) / self.resolution).astype(int)
         return (int(v[0]), int(v[1]), int(v[2]))
 
+    def center_of(self, v) -> np.ndarray:
+        """Metric centre of voxel `v` (or of each row of an index array);
+        the inverse of `voxel_of`."""
+        return (np.asarray(v, dtype=float) + 0.5) * self.resolution
+
     def in_bounds(self, v) -> bool:
         return all(0 <= v[a] < self.dims[a] for a in range(3))
 

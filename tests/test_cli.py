@@ -35,6 +35,37 @@ def test_default_config_round_trip():
     again = ExperimentConfig.from_dict(data)
     assert again.to_dict() == data
     assert again.config_hash() == cfg.config_hash()
+    # a non-default config: null in an optional field, nested lists, and an
+    # int in a float field, which is kept as given
+    data["aux"]["gate_distance"] = None
+    data["bench"]["sizes"] = [[8], [16, 16]]
+    data["curriculum"]["start"] = 5
+    other = ExperimentConfig.from_dict(data)
+    assert other.aux.gate_distance is None
+    assert other.bench.sizes == ((8,), (16, 16))
+    assert json.dumps(other.to_dict(), sort_keys=True) == \
+        json.dumps(data, sort_keys=True)
+    assert other.config_hash() != cfg.config_hash()
+
+
+# The benchmark fixtures' pinned small config (every other key keeps its
+# default); these hashes are the `config` values in the fixture weight files.
+FIXTURE_OVERRIDES = (
+    "world.dims=[48,48,8]",
+    "oracle.n_train_paths=200",
+    "nav.hidden=[64,64]",
+    "nav.max_epochs=15",
+    "nav.refine_rollouts=100",
+    "aux.total_env_steps=2000",
+)
+
+
+def test_config_hash_is_pinned():
+    # a changed hash turns every artifact built before it stale
+    assert ExperimentConfig().config_hash() == "3d4928afa0954764"
+    for mode, expected in (("C", "6161bb8aaa19ccc6"), ("S", "9092be8fc70805e7")):
+        cfg = load_config(None, [f"mode={mode}", *FIXTURE_OVERRIDES])
+        assert cfg.config_hash() == expected
 
 
 def test_from_dict_rejects_unknown_names():
@@ -67,10 +98,30 @@ def test_from_dict_converts_lists_to_tuples():
     {"oracle": {"crowd_boost": 0}},
     {"eval": {"buckets": []}},
     {"bench": {"repeats": 0}},
+    # values of the wrong type
+    {"world": {"density": "x"}},
+    {"aux": {"gamma": "0.9"}},
+    {"nav": {"hidden": "abc"}},
+    {"eval": {"buckets": 5}},
+    {"aux": {"batch_size": 1.5}},
+    {"world": {"vertical_locked": 3}},
+    {"bench": {"sizes": [32]}},
+    {"curriculum": {"start": True}},
+    {"world": {"dims": [64, 64, 8, 8]}},
+    {"oracle": {"n_train_paths": True}},
+    {"out_dir": 1},
+    {"world": {"goal_radius": float("nan")}},
+    {"sensor": {"max_range": float("inf")}},
+    # checks of the module dataclasses the sections are built from
+    {"sensor": {"p_f": 5}},
+    {"aux": {"gamma": 1.5}},
+    {"reward": {"goal": -1.0}},
+    {"constraint": {"beta": 0.5}},
 ])
 def test_validate_rejects_bad_values(data):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as e:
         ExperimentConfig.from_dict(data)
+    assert next(iter(data)) in str(e.value)  # names the section
 
 
 def test_config_hash_ignores_out_dir():
@@ -94,6 +145,9 @@ def test_load_config_missing_and_invalid_file(tmp_path):
         load_config(str(tmp_path / "nope.json"), None)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(ConfigError):
+        load_config(str(bad), None)
+    bad.write_text("[1]")
     with pytest.raises(ConfigError):
         load_config(str(bad), None)
 
@@ -214,7 +268,7 @@ def test_episode_rows_round_trip():
 # ---------------------------------------------------------------------------
 # exit codes
 
-def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch):
+def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
     def run(argv):
         monkeypatch.setattr(sys, "argv", ["slimnav"] + argv)
         with pytest.raises(SystemExit) as e:
@@ -224,6 +278,11 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch):
     out = str(tmp_path / "run")
     # config error
     assert run(["gen-world", "--set", "world.density=2.0"]) == 2
+    capsys.readouterr()
+    assert run(["gen-world", "--set", 'world.density="x"']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: world.density")
+    assert "Traceback" not in err
     # missing upstream artifact
     assert run(["train-nav", "--set", "out_dir=" + out]) == 3
     # constraint violation (stubbed command; the real path needs a full

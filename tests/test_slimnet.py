@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slimnav.errors import ConfigError, LoadError, TrainingError
-from slimnav.slimnet import (Adam, Grads, MLPSpec, SGD, SlimMask, SlimmableMLP,
+from slimnav.slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
                              active_params, active_width, input_mask_from_power,
                              load_weights, save_weights)
 from slimnav.worldsim import OBS_WIDTH, ObservationLayout
@@ -241,24 +241,23 @@ def test_input_gradient_matches_finite_differences():
 
 # --- optimizers ---
 
-def test_sgd_and_adam_step_deterministic_and_f32_canonical():
+def test_adam_step_deterministic_and_f32_canonical():
     spec = small_spec()
     x = np.random.default_rng(17).normal(size=(8, 6))
     t = np.random.default_rng(18).normal(size=(8, 2))
 
-    def one_run(opt_cls):
+    def one_run():
         net = SlimmableMLP(spec, seed=19)
-        opt = opt_cls(net, 1e-2)
+        opt = Adam(net, 1e-2)
         for _ in range(3):
             y, cache = net.forward(x, return_cache=True)
             opt.step(net.backward(cache, 2 * (y - t) / y.size))
         return net
 
-    for cls in (SGD, Adam):
-        a, b = one_run(cls), one_run(cls)
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
-            assert np.array_equal(wa, wa.astype(np.float32).astype(np.float64))
+    a, b = one_run(), one_run()
+    for wa, wb in zip(a.weights, b.weights):
+        assert np.array_equal(wa, wb)
+        assert np.array_equal(wa, wa.astype(np.float32).astype(np.float64))
 
 
 def test_non_finite_gradients_rejected():
