@@ -43,7 +43,7 @@ from .auxtrain import (ConstraintConfig, CurriculumController, EpisodeStep,
 from .errors import ConfigError, ConstraintViolation, DependencyError, LoadError
 from .pathoracle import TaskSampler, build_graph, partition_regions
 from .slimnet import MLPSpec, SlimMask, SlimmableMLP, active_params, load_weights, save_weights
-from .worldsim import OBS_WIDTH, REACHED, SensorConfig, VoxelGrid
+from .worldsim import MIN_DIMS, OBS_WIDTH, REACHED, SensorConfig, VoxelGrid
 
 # artifact file names, relative to the output directory
 CONFIG_FILE = "config.json"
@@ -227,8 +227,8 @@ class ExperimentConfig:
         if self.mode not in ("C", "S"):
             raise ConfigError(f"mode must be 'C' or 'S', got {self.mode!r}")
         w = self.world
-        if any(d < 1 for d in w.dims):
-            raise ConfigError(f"world.dims must be 3 positive ints, got {w.dims}")
+        if any(d < m for d, m in zip(w.dims, MIN_DIMS)):
+            raise ConfigError(f"world.dims must be at least {MIN_DIMS}, got {w.dims}")
         if not 0.0 <= w.density < 1.0:
             raise ConfigError(f"world.density must be in [0, 1), got {w.density}")
         if w.resolution <= 0:

@@ -479,8 +479,12 @@ def save_paths(paths, file) -> None:
 
 
 def load_paths(file) -> list[list[tuple[int, int, int]]]:
-    with open(file) as f:
-        text = f.read()
+    """Inverse of save_paths. Raises LoadError on malformed input."""
+    try:
+        with open(file) as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise LoadError(f"{file}: not a text file: {e}") from e
     paths = []
     for block in text.split("\n\n"):
         block = block.strip()
@@ -488,10 +492,11 @@ def load_paths(file) -> list[list[tuple[int, int, int]]]:
             continue
         wps = []
         for ln in block.splitlines():
-            parts = ln.split()
-            if len(parts) != 3:
-                raise LoadError(f"{file}: bad waypoint line {ln!r}")
-            wps.append((int(parts[0]), int(parts[1]), int(parts[2])))
+            try:
+                i, j, k = (int(x) for x in ln.split())
+            except ValueError as e:     # a non-integer or not 3 fields
+                raise LoadError(f"{file}: bad waypoint line {ln!r}") from e
+            wps.append((i, j, k))
         paths.append(wps)
     return paths
 
@@ -508,13 +513,20 @@ def save_dataset(ds: LabeledDataset, path, config_hash: str = "") -> None:
 
 
 def load_dataset(path) -> tuple[LabeledDataset, str]:
+    """Inverse of save_dataset; returns the dataset and the recorded config
+    hash. Raises LoadError on malformed input."""
     with open(path, "rb") as f:
         header = f.readline().decode(errors="replace").rstrip("\n")
         blob = f.read()
     parts = header.split()
     if " ".join(parts[:2]) != DATASET_MAGIC or len(parts) not in (7, 8):
         raise LoadError(f"{path}: bad dataset header {header!r}")
-    obs_width, depth, p_f, p_d, n = (int(x) for x in parts[2:7])
+    try:
+        obs_width, depth, p_f, p_d, n = (int(x) for x in parts[2:7])
+    except ValueError as e:
+        raise LoadError(f"{path}: bad dataset header {header!r}") from e
+    if min(obs_width, depth) < 1 or n < 0:
+        raise LoadError(f"{path}: bad dataset header {header!r}")
     config_hash = parts[7] if len(parts) == 8 else ""
     width = obs_width * depth + 3
     if len(blob) != 4 * n * width:

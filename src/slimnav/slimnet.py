@@ -394,10 +394,14 @@ def load_weights(path) -> tuple[SlimmableMLP, str]:
                            output_scale=head["scale"],
                            output_low=tuple(head["low"]) if head["low"] else None,
                            output_high=tuple(head["high"]) if head["high"] else None)
-        except (json.JSONDecodeError, KeyError, TypeError, ConfigError) as e:
+            seed = head.get("seed", 0)
+        # ValueError covers bad JSON, non-UTF-8 bytes and MLPSpec's ConfigError
+        except (ValueError, KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad spec header: {e}") from e
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise LoadError(f"{path}: bad spec header: seed {seed!r} is not an integer")
+        net = SlimmableMLP(spec, seed=seed, init=False)
         blob = f.read()
-    net = SlimmableMLP(spec, seed=int(head.get("seed", 0)), init=False)
     sizes = spec.layer_sizes
     need = sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
     if len(blob) != 4 * need:

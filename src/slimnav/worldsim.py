@@ -198,8 +198,11 @@ def save_world(grid: VoxelGrid, path, config_hash: str = "") -> None:
 def load_world(path) -> tuple[VoxelGrid, str]:
     """Inverse of save_world; returns the grid and the recorded config hash.
     Raises LoadError on malformed input."""
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    try:
+        with open(path) as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise LoadError(f"{path}: not a text file: {e}") from e
     if not lines:
         raise LoadError(f"{path}: empty world file")
     head = lines[0].split()
@@ -212,16 +215,21 @@ def load_world(path) -> tuple[VoxelGrid, str]:
         resolution = float(head[5])
     except ValueError as e:
         raise LoadError(f"{path}: malformed header fields: {e}") from e
+    if min(nx, ny, nz) < 1 or not resolution > 0:
+        raise LoadError(f"{path}: malformed header {lines[0]!r}")
     seed, density, config_hash = 0, 0.0, ""
     body = lines[1:]
     if body and body[0].startswith("#"):
         for tok in body[0][1:].split():
             key, _, val = tok.partition("=")
-            if key == "seed":
-                seed = int(val)
-            elif key == "density":
-                density = float(val)
-            elif key == "config":
+            try:
+                if key == "seed":
+                    seed = int(val)
+                elif key == "density":
+                    density = float(val)
+            except ValueError as e:
+                raise LoadError(f"{path}: bad metadata {tok!r}") from e
+            if key == "config":
                 config_hash = val
         body = body[1:]
     total = nx * ny * nz
@@ -314,60 +322,86 @@ class Observation:
 
 def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MAX_RANGE) -> np.ndarray:
     """Distance along each (unit) direction to the first occupied voxel, in
-    meters, capped at max_range. Voxel traversal, all rays marched in lockstep.
+    meters, capped at max_range.
 
-    Raises SensorError if the origin sits inside an occupied voxel.
+    Voxel traversal (Amanatides & Woo 1987) without a per-step loop. A ray
+    leaves its voxel at a sequence of boundary crossings; on each axis the
+    next crossing time is the previous one plus `|1/d| * res`. A ray's
+    crossings of all three axes are taken in time order, the lowest axis
+    first on ties (an edge or a corner crossed exactly), and the ray stops
+    at the first crossing that is past `max_range` (depth `max_range`) or
+    enters a voxel that is occupied or outside the grid (depth: that
+    crossing's time). Crossing times are summed one term at a time, so the
+    depths equal, bit for bit, those of stepping the rays one crossing at a
+    time. Work and memory are bounded by the crossings the farthest-reaching
+    ray of the call makes before it leaves the grid or passes `max_range`:
+    at most `sum(dims)` per ray. A direction component so small that its
+    reciprocal overflows counts as zero.
+
+    Raises SensorError if the origin sits inside an occupied voxel, and
+    ValueError for a zero or non-finite direction or a NaN max_range.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if grid.occupied_at(origin):
         raise SensorError(f"ray origin {origin.tolist()} is inside an occupied voxel")
     norms = np.linalg.norm(dirs, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("ray direction must be nonzero")
+    if not np.all(np.isfinite(norms) & (norms > 0)):
+        raise ValueError("ray direction must be nonzero and finite")
+    if math.isnan(max_range):
+        raise ValueError("max_range must be a number")
     dirs = dirs / norms[:, None]
+    n = dirs.shape[0]
+    if n == 0:
+        return np.empty(0)
 
     res = grid.resolution
-    occ = grid.occupancy
-    n = dirs.shape[0]
-    voxel = np.tile(np.floor(origin / res).astype(np.int64), (n, 1))
-    nonzero = dirs != 0.0
-    step = np.where(dirs > 0, 1, -1)
-    step[~nonzero] = 0
-    safe = np.where(nonzero, dirs, 1.0)
-    inv = np.where(nonzero, 1.0 / safe, np.inf)
-    next_boundary = (voxel + (step > 0)) * res
-    t_max = np.full_like(dirs, np.inf)
-    t_max[nonzero] = ((next_boundary - origin) * np.where(nonzero, inv, 1.0))[nonzero]
-    t_delta = np.where(nonzero, np.abs(inv) * res, np.inf)
-
-    depth = np.full(n, float(max_range))
-    alive = np.ones(n, dtype=bool)
     dims = np.array(grid.dims, dtype=np.int64)
-    while True:
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        tm = t_max[idx]
-        ax = np.argmin(tm, axis=1)
-        t_cross = tm[np.arange(idx.size), ax]
-        over = t_cross > max_range
-        alive[idx[over]] = False
-        sub = idx[~over]
-        if sub.size == 0:
-            continue
-        axk = ax[~over]
-        voxel[sub, axk] += step[sub, axk]
-        t_max[sub, axk] += t_delta[sub, axk]
-        v = voxel[sub]
-        inb = np.all((v >= 0) & (v < dims[None, :]), axis=1)
-        hit = ~inb
-        if inb.any():
-            vi = v[inb]
-            hit[inb] = occ[vi[:, 0], vi[:, 1], vi[:, 2]]
-        if hit.any():
-            depth[sub[hit]] = t_cross[~over][hit]
-            alive[sub[hit]] = False
+    voxel = np.floor(origin / res).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t_delta = np.abs(inv) * res
+        moving = np.isfinite(t_delta)          # the axes a ray crosses at all
+        step = np.where(moving, np.where(dirs > 0, 1, -1), 0)
+        t_first = ((voxel + (step > 0)) * res - origin) * inv
+        t_first[~moving] = np.inf
+        # crossings per axis up to and including the one that leaves the
+        # grid; a ray needs them only up to its earliest exit or max_range,
+        # and one more absorbs the rounding of this estimate
+        exits = np.where(step > 0, dims - voxel, voxel + 1)
+        t_leave = t_first + (exits - 1) * t_delta
+        t_leave[~moving] = np.inf
+        t_end = np.minimum(t_leave.min(axis=1), max_range)
+        reach = np.floor((t_end[:, None] - t_first) / t_delta) + 2
+        need = np.where(moving, np.clip(reach, 1, exits), 0).max(axis=0).astype(np.int64)
+
+    # row r holds ray r's crossing times, axis by axis, each a running sum
+    m = int(need.sum())
+    start = np.concatenate(([0], np.cumsum(need)[:-1]))
+    times = np.repeat(t_delta, need, axis=1)
+    times[:, start[need > 0]] = t_first[:, need > 0]
+    for a in range(3):
+        block = times[:, start[a]:start[a] + need[a]]
+        np.cumsum(block, axis=1, out=block)
+    order = np.argsort(times, axis=1, kind="stable")
+    order += (np.arange(n) * m)[:, None]       # flat positions in `times`
+
+    # flat index of the voxel each crossing enters, valid up to the first
+    # crossing that leaves the grid (clipped beyond it)
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    flat = np.cumsum(np.repeat(step * stride, need, axis=1).reshape(-1)[order], axis=1)
+    flat += int(voxel @ stride)
+    occ = grid.occupancy.reshape(-1)
+    hit = occ[np.clip(flat, 0, occ.size - 1, out=flat)]
+    first = hit.argmax(axis=1)
+    rows = np.arange(n)
+    depth = np.where(hit[rows, first], times.reshape(-1)[order[rows, first]], np.inf)
+    # the crossing that leaves the grid stops a ray too; any crossing at or
+    # after it in time order has a clipped voxel but cannot be earlier
+    last = start + np.minimum(exits, need) - 1 + (rows * m)[:, None]
+    t_exit = np.where(exits <= need, times.reshape(-1)[last], np.inf).min(axis=1)
+    np.minimum(depth, t_exit, out=depth)
+    depth[depth > max_range] = max_range
     return depth
 
 
@@ -453,19 +487,20 @@ def sense(grid: VoxelGrid, state: DroneState, config: SensorConfig,
     if math.hypot(to_goal[0], to_goal[1]) > 1e-9:
         heading = math.atan2(to_goal[1], to_goal[0])
 
+    f_idx = _FORWARD_IDX[config.p_f]
+    d_idx = _DOWNWARD_IDX[config.p_d]
+    dirs = np.concatenate([forward_ray_directions(heading)[f_idx], _DOWN_DIRS[d_idx]])
+    depths = cast_rays(grid, pos, dirs, config.max_range) / config.max_range
+
     forward = np.zeros(FORWARD_RAYS)
     fmask = np.zeros(FORWARD_RAYS, dtype=bool)
-    f_idx = _FORWARD_IDX[config.p_f]
-    fdirs = forward_ray_directions(heading)
-    forward[f_idx] = cast_rays(grid, pos, fdirs[f_idx], config.max_range) / config.max_range
+    forward[f_idx] = depths[:f_idx.size]
     fmask[f_idx] = True
 
     downward = np.zeros(DOWNWARD_RAYS)
     dmask = np.zeros(DOWNWARD_RAYS, dtype=bool)
-    d_idx = _DOWNWARD_IDX[config.p_d]
-    if d_idx.size:
-        downward[d_idx] = cast_rays(grid, pos, _DOWN_DIRS[d_idx], config.max_range) / config.max_range
-        dmask[d_idx] = True
+    downward[d_idx] = depths[f_idx.size:]
+    dmask[d_idx] = True
 
     la = np.zeros(3) if last_action is None else np.asarray(last_action, dtype=float)
     return Observation(forward_depths=forward, forward_mask=fmask,

@@ -117,6 +117,8 @@ def test_from_dict_converts_lists_to_tuples():
     {"aux": {"gamma": 1.5}},
     {"reward": {"goal": -1.0}},
     {"constraint": {"beta": 0.5}},
+    # smaller than worldsim.MIN_DIMS
+    {"world": {"dims": [8, 8, 8]}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
@@ -283,8 +285,25 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: world.density")
     assert "Traceback" not in err
+    # a world below worldsim.MIN_DIMS is a config error at every stage
+    for stage in cli.COMMANDS:
+        assert run([stage, "--set", "out_dir=" + out, "--set", "world.dims=[8,8,8]"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: world.dims")
     # missing upstream artifact
     assert run(["train-nav", "--set", "out_dir=" + out]) == 3
+    # a world file whose metadata does not parse
+    small = ["--set", "out_dir=" + out, "--set", "world.dims=[16,16,8]"]
+    assert run(["gen-world", *small]) == 0
+    path = os.path.join(out, WORLD_FILE)
+    with open(path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text.replace("# seed=", "# seed=x", 1))
+    capsys.readouterr()
+    assert run(["oracle", *small]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dependency error")
+    assert "Traceback" not in err
     # constraint violation (stubbed command; the real path needs a full
     # training run and is exercised in the pipeline tests)
     monkeypatch.setitem(cli.COMMANDS, "gen-world",

@@ -550,6 +550,10 @@ def test_paths_bad_line(tmp_path):
     file.write_text("1 2 3\n4 5\n")
     with pytest.raises(LoadError):
         load_paths(file)
+    for text in (b"1 2 3\n4 5 x\n", b"1 2 3\n4 5 6.5\n", b"1 2 3\n4 5 \xff\n"):
+        file.write_bytes(text)
+        with pytest.raises(LoadError):
+            load_paths(file)
 
 
 def test_dataset_round_trip(tmp_path, world, flat_graph):
@@ -585,3 +589,11 @@ def test_dataset_rejects_corruption(tmp_path):
     (tmp_path / "magic.bin").write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(LoadError):
         load_dataset(tmp_path / "magic.bin")
+    # header fields that are not counts
+    head, _, body = raw.partition(b"\n")
+    fields = head.split(b" ")
+    for k, bad in ((2, b"wide"), (3, b"0"), (6, b"-1"), (6, b"1e3")):
+        mangled = fields[:k] + [bad] + fields[k + 1:]
+        (tmp_path / "field.bin").write_bytes(b" ".join(mangled) + b"\n" + body)
+        with pytest.raises(LoadError):
+            load_dataset(tmp_path / "field.bin")

@@ -299,6 +299,15 @@ def test_load_weights_rejects_corrupt(tmp_path):
     p.write_bytes(blob[:-8])            # truncated payload
     with pytest.raises(LoadError):
         load_weights(p)
+    magic, head, payload = blob.split(b"\n", 2)
+    for bad_head in (b"\xff" + head,                          # not UTF-8
+                     head.replace(b'"seed": 22', b'"seed": "x"'),
+                     head.replace(b'"seed": 22', b'"seed": 2.5'),
+                     head.replace(b'"seed": 22', b'"seed": null')):
+        assert bad_head != head
+        p.write_bytes(b"\n".join([magic, bad_head, payload]))
+        with pytest.raises(LoadError):
+            load_weights(p)
 
 
 def test_copy_and_copy_weights_from():

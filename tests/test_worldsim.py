@@ -96,6 +96,14 @@ def test_load_world_rejects_malformed(tmp_path):
     p.write_text("NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=0.0\n2048 7\n")
     with pytest.raises(LoadError):          # bit must be 0/1
         load_world(p)
+    for text in (b"NAVIWORLD v1 16 16 8 1.0\n# seed=x density=0.0\n2048 0\n",
+                 b"NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=dense\n2048 0\n",
+                 b"NAVIWORLD v1 -16 16 8 1.0\n# seed=0 density=0.0\n2048 0\n",
+                 b"NAVIWORLD v1 16 16 8 0.0\n# seed=0 density=0.0\n2048 0\n",
+                 b"NAVIWORLD v1 16 16 8 1.0\n# seed=\xff density=0.0\n2048 0\n"):
+        p.write_bytes(text)
+        with pytest.raises(LoadError):
+            load_world(p)
 
 
 # --- ray casting ---
@@ -139,6 +147,11 @@ def test_cast_rays_cap_and_errors(empty):
         cast_ray(empty, (0.5, 0.5, 0.5), (1.0, 0.0, 0.0))   # inside the shell
     with pytest.raises(ValueError):
         cast_ray(empty, (8.0, 8.0, 4.0), (0.0, 0.0, 0.0))
+    for bad in ((np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            cast_ray(empty, (8.0, 8.0, 4.0), bad)
+    with pytest.raises(ValueError):
+        cast_ray(empty, (8.0, 8.0, 4.0), (1.0, 0.0, 0.0), max_range=float("nan"))
 
 
 # --- segments and motion ---
