@@ -221,8 +221,7 @@ class TD3Agent:
         for net, tgt in ((self.actor, self.actor_target),
                          (self.critic1, self.critic1_target),
                          (self.critic2, self.critic2_target)):
-            for p, q in zip(net.weights + net.biases, tgt.weights + tgt.biases):
-                q[:] = (tau * p + (1.0 - tau) * q).astype(np.float32)
+            tgt.params[:] = (tau * net.params + (1.0 - tau) * tgt.params).astype(np.float32)
 
     def update(self, buffer: ReplayBuffer, rng) -> dict:
         """One TD3 step: both critics regress the clipped double-Q target;

@@ -168,14 +168,12 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
         if val_losses[-1] < best_val:
             best_val = val_losses[-1]
             best_epoch = epoch
-            best_weights = ([w.copy() for w in net.weights],
-                            [b.copy() for b in net.biases])
+            best_weights = net.params.copy()
         elif epoch - best_epoch >= cfg.patience:
             stopped = epoch
             break
     if best_weights is not None:
-        net.weights = best_weights[0]
-        net.biases = best_weights[1]
+        net.params[:] = best_weights
     report = TrainReport(train_losses=train_losses, val_losses=val_losses,
                          best_epoch=best_epoch, stopped_epoch=stopped,
                          seed=cfg.seed)

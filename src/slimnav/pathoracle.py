@@ -82,9 +82,6 @@ class MapGraph:
                 continue
             yield w, cost
 
-    def vertex_count(self) -> int:
-        return int(np.count_nonzero(self.free))
-
 
 def build_graph(grid: VoxelGrid, vertical_locked: bool = False) -> MapGraph:
     res = grid.resolution
@@ -514,7 +511,7 @@ def save_dataset(ds: LabeledDataset, path, config_hash: str = "") -> None:
 
 def load_dataset(path) -> tuple[LabeledDataset, str]:
     """Inverse of save_dataset; returns the dataset and the recorded config
-    hash. Raises LoadError on malformed input."""
+    hash. Raises LoadError on malformed input, non-finite values included."""
     with open(path, "rb") as f:
         header = f.readline().decode(errors="replace").rstrip("\n")
         blob = f.read()
@@ -531,7 +528,10 @@ def load_dataset(path) -> tuple[LabeledDataset, str]:
     width = obs_width * depth + 3
     if len(blob) != 4 * n * width:
         raise LoadError(f"{path}: expected {4 * n * width} bytes, got {len(blob)}")
-    rec = np.frombuffer(blob, dtype="<f4").astype(np.float64).reshape(n, width)
+    rec = np.frombuffer(blob, dtype="<f4").reshape(n, width)
+    if not np.isfinite(rec).all():     # before the cast, which warns on a signaling NaN
+        raise LoadError(f"{path}: non-finite dataset values")
+    rec = rec.astype(np.float64)
     ds = LabeledDataset(fifo_vectors=rec[:, :obs_width * depth].copy(),
                         targets=rec[:, obs_width * depth:].copy(),
                         depth=depth, p_f=p_f, p_d=p_d)

@@ -6,15 +6,18 @@ arbitrary subset of input nodes. The masked pass computes on the physically
 sliced sub-matrices, so it is bit-identical to running an explicitly
 truncated copy of the network.
 
-Parameters are kept float32-representable (init and every optimizer step
-round through float32) so the float32 weight file round-trips exactly.
+Parameters live in one float64 vector, `params`, laid out as the weight
+file stores them (W0 row major, b0, W1, b1, ...); `weights` and `biases` are
+views into it that must never be rebound. Parameters are kept
+float32-representable (init and every optimizer step round through float32)
+so the float32 weight file round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,19 +60,40 @@ class MLPSpec:
             raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in _OUTPUTS:
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
+        if not math.isfinite(self.output_scale):
+            raise ConfigError(f"output_scale must be finite, got {self.output_scale}")
         if self.output_activation == "bounded":
             if self.output_low is None or self.output_high is None:
                 raise ConfigError("bounded output requires output_low and output_high")
             lo = tuple(float(x) for x in self.output_low)
             hi = tuple(float(x) for x in self.output_high)
-            if len(lo) != self.v or len(hi) != self.v or any(l >= h for l, h in zip(lo, hi)):
-                raise ConfigError("bounded output bounds must be length v with low < high")
+            if len(lo) != self.v or len(hi) != self.v or \
+                    not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
+                raise ConfigError("bounded output bounds must be finite, length v, low < high")
             object.__setattr__(self, "output_low", lo)
             object.__setattr__(self, "output_high", hi)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return (self.u, *self.q, self.v)
+
+    @property
+    def param_count(self) -> int:
+        sizes = self.layer_sizes
+        return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(params: np.ndarray, spec: MLPSpec) -> tuple[list, list]:
+    """Per-layer (fan_in, fan_out) weight and bias views of a vector laid out
+    like the weight file."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+        weights.append(params[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        biases.append(params[pos:pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 class SlimMask:
@@ -94,25 +118,22 @@ class SlimMask:
         self.input_index = None if active_inputs.all() else np.flatnonzero(active_inputs)
 
 
-@dataclass
 class Grads:
-    """Full-shape parameter gradients (zero on severed entries) plus the
-    gradient with respect to the network input."""
+    """Full-shape parameter gradients (zero on severed entries), laid out and
+    viewed like SlimmableMLP.params, plus the gradient with respect to the
+    network input."""
 
-    weights: list
-    biases: list
-    inputs: np.ndarray | None = None
+    def __init__(self, spec: MLPSpec):
+        self.params = np.zeros(spec.param_count)
+        self.weights, self.biases = _layer_views(self.params, spec)
+        self.inputs: np.ndarray | None = None
 
     def add_(self, other: "Grads") -> "Grads":
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
+        self.params += other.params
         return self
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(w).all() for w in self.weights) and \
-            all(np.isfinite(b).all() for b in self.biases)
+        return bool(np.isfinite(self.params).all())
 
 
 def _f32(a: np.ndarray) -> np.ndarray:
@@ -123,40 +144,29 @@ def _f32(a: np.ndarray) -> np.ndarray:
 class SlimmableMLP:
     """Dense ReLU network trainable at any slimming factor.
 
-    Weight matrices are stored (fan_in, fan_out); forward is x @ W + b.
+    Weight matrices are (fan_in, fan_out) views into `params`; forward is
+    x @ W + b. With init false every parameter starts at zero.
     """
 
     def __init__(self, spec: MLPSpec, seed: int = 0, init: bool = True):
         self.spec = spec
         self.seed = int(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        self.params = np.zeros(spec.param_count)
+        self.weights, self.biases = _layer_views(self.params, spec)
         if init:
             rng = np.random.default_rng(seed)
-            sizes = spec.layer_sizes
-            for i in range(len(sizes) - 1):
-                fan_in, fan_out = sizes[i], sizes[i + 1]
-                if i < len(sizes) - 2:
+            for i, W in enumerate(self.weights):
+                fan_in, fan_out = W.shape
+                if i < len(self.weights) - 1:
                     limit = math.sqrt(6.0 / fan_in)          # He uniform for ReLU
                 else:
                     limit = math.sqrt(6.0 / (fan_in + fan_out))  # Xavier for output
-                self.weights.append(_f32(rng.uniform(-limit, limit, size=(fan_in, fan_out))))
-                self.biases.append(_f32(np.zeros(fan_out)))
-
-    def full_mask(self) -> SlimMask:
-        return SlimMask(self.spec)
+                W[:] = _f32(rng.uniform(-limit, limit, size=W.shape))
 
     def copy(self) -> "SlimmableMLP":
         net = SlimmableMLP(self.spec, seed=self.seed, init=False)
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
+        net.params[:] = self.params
         return net
-
-    def copy_weights_from(self, other: "SlimmableMLP") -> None:
-        for a, b in zip(self.weights, other.weights):
-            a[:] = b
-        for a, b in zip(self.biases, other.biases):
-            a[:] = b
 
     # forward / backward
 
@@ -227,8 +237,8 @@ class SlimmableMLP:
             lo = np.asarray(spec.output_low)
             dz = g * 0.5 * (hi - lo) * (1.0 - out_aux**2)
 
-        dW = [np.zeros_like(w) for w in self.weights]
-        db = [np.zeros_like(b) for b in self.biases]
+        grads = Grads(spec)
+        dW, db = grads.weights, grads.biases
         widths = mask.active_hidden
         idx = mask.input_index
 
@@ -259,9 +269,8 @@ class SlimmableMLP:
             dx[:, idx] = da
         else:
             dx = da
-        if single:
-            dx = dx[0]
-        return Grads(weights=dW, biases=db, inputs=dx)
+        grads.inputs = dx[0] if single else dx
+        return grads
 
     def truncated(self, mask: SlimMask) -> "SlimmableMLP":
         """Physically truncated copy: weight matrices sliced to the active
@@ -281,10 +290,10 @@ class SlimmableMLP:
                 Wa = W[mask.input_index][:, :h] if mask.input_index is not None else W[:, :h]
             else:
                 Wa = W[:widths[i - 1], :h]
-            net.weights.append(Wa.copy())
-            net.biases.append(self.biases[i][:h].copy())
-        net.weights.append(self.weights[-1][:widths[-1], :].copy())
-        net.biases.append(self.biases[-1].copy())
+            net.weights[i][:] = Wa
+            net.biases[i][:] = self.biases[i][:h]
+        net.weights[-1][:] = self.weights[-1][:widths[-1], :]
+        net.biases[-1][:] = self.biases[-1]
         return net
 
 
@@ -326,43 +335,36 @@ def input_mask_from_power(p_f: int, p_d: int, layout: ObservationLayout) -> np.n
 
 # optimizers
 
-def _check_grads(grads: Grads) -> None:
-    if not grads.all_finite():
-        bad = [i for i, w in enumerate(grads.weights) if not np.isfinite(w).all()]
-        bad += [f"b{i}" for i, b in enumerate(grads.biases) if not np.isfinite(b).all()]
-        raise TrainingError(f"non-finite gradient in layers {bad}")
-
-
 class Adam:
     def __init__(self, net: SlimmableMLP, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.net = net
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in net.weights + net.biases]
-        self.v = [np.zeros_like(p) for p in net.weights + net.biases]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
     def step(self, grads: Grads) -> None:
-        _check_grads(grads)
+        if not grads.all_finite():
+            bad = np.count_nonzero(~np.isfinite(grads.params))
+            raise TrainingError(f"non-finite gradient in {bad} of {grads.params.size} parameters")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        params = self.net.weights + self.net.biases
-        gs = grads.weights + grads.biases
-        for p, g, m, v in zip(params, gs, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p[:] = _f32(p - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
+        p, g, m, v = self.net.params, grads.params, self.m, self.v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        p[:] = _f32(p - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
 
 
 # weight file io
 
 def save_weights(net: SlimmableMLP, path, config_hash: str = "") -> None:
-    """Write magic line, one json spec line, then per layer the weight matrix
-    (row major) and bias vector as little-endian float32."""
+    """Write magic line, one json spec line, then `net.params` (per layer the
+    weight matrix, row major, and the bias vector) as little-endian float32."""
     spec = net.spec
     head = {
         "u": spec.u, "q": list(spec.q), "v": spec.v,
@@ -375,13 +377,12 @@ def save_weights(net: SlimmableMLP, path, config_hash: str = "") -> None:
     with open(path, "wb") as f:
         f.write((WEIGHTS_MAGIC + "\n").encode())
         f.write((json.dumps(head, sort_keys=True) + "\n").encode())
-        for W, b in zip(net.weights, net.biases):
-            f.write(np.ascontiguousarray(W, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f4").tobytes())
+        f.write(net.params.astype("<f4").tobytes())
 
 
 def load_weights(path) -> tuple[SlimmableMLP, str]:
-    """Inverse of save_weights. Returns (net, config_hash)."""
+    """Inverse of save_weights. Returns (net, config_hash). Raises LoadError
+    on a malformed header, a wrong payload size or a non-finite parameter."""
     with open(path, "rb") as f:
         magic = f.readline().decode(errors="replace").rstrip("\n")
         if magic != WEIGHTS_MAGIC:
@@ -400,18 +401,13 @@ def load_weights(path) -> tuple[SlimmableMLP, str]:
             raise LoadError(f"{path}: bad spec header: {e}") from e
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise LoadError(f"{path}: bad spec header: seed {seed!r} is not an integer")
-        net = SlimmableMLP(spec, seed=seed, init=False)
         blob = f.read()
-    sizes = spec.layer_sizes
-    need = sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
-    if len(blob) != 4 * need:
-        raise LoadError(f"{path}: expected {4 * need} bytes of weights, got {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    pos = 0
-    for i in range(len(sizes) - 1):
-        n = sizes[i] * sizes[i + 1]
-        net.weights.append(flat[pos:pos + n].reshape(sizes[i], sizes[i + 1]).copy())
-        pos += n
-        net.biases.append(flat[pos:pos + sizes[i + 1]].copy())
-        pos += sizes[i + 1]
+    need = 4 * spec.param_count     # checked before allocating the net
+    if len(blob) != need:
+        raise LoadError(f"{path}: expected {need} bytes of weights, got {len(blob)}")
+    payload = np.frombuffer(blob, dtype="<f4")
+    if not np.isfinite(payload).all():     # before the cast, which warns on a signaling NaN
+        raise LoadError(f"{path}: non-finite weights")
+    net = SlimmableMLP(spec, seed=seed, init=False)
+    net.params[:] = payload
     return net, str(head.get("config", ""))

@@ -215,7 +215,7 @@ def load_world(path) -> tuple[VoxelGrid, str]:
         resolution = float(head[5])
     except ValueError as e:
         raise LoadError(f"{path}: malformed header fields: {e}") from e
-    if min(nx, ny, nz) < 1 or not resolution > 0:
+    if min(nx, ny, nz) < 1 or not 0 < resolution < math.inf:
         raise LoadError(f"{path}: malformed header {lines[0]!r}")
     seed, density, config_hash = 0, 0.0, ""
     body = lines[1:]
@@ -229,6 +229,8 @@ def load_world(path) -> tuple[VoxelGrid, str]:
                     density = float(val)
             except ValueError as e:
                 raise LoadError(f"{path}: bad metadata {tok!r}") from e
+            if not math.isfinite(density):
+                raise LoadError(f"{path}: bad metadata {tok!r}")
             if key == "config":
                 config_hash = val
         body = body[1:]

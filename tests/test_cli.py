@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import slimnav
-from slimnav import cli, pathoracle, worldsim
+from slimnav import cli, pathoracle, slimnet, worldsim
 from slimnav.auxtrain import EpisodeLog, EpisodeStep
 from slimnav.cli import (AUX_ACTOR_FILE, AUX_CRITIC_FILES, AUX_EPISODES_FILE,
                          AUX_EVAL_FILE, AUX_UPDATES_FILE, BENCH_FILE,
@@ -301,6 +301,18 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
         f.write(text.replace("# seed=", "# seed=x", 1))
     capsys.readouterr()
     assert run(["oracle", *small]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dependency error")
+    assert "Traceback" not in err
+    # a navigation weight file holding a NaN
+    with open(path, "w") as f:
+        f.write(text)
+    small_cfg = load_config(None, small[1::2])
+    net = slimnet.SlimmableMLP(small_cfg.nav_spec())
+    net.biases[-1][0] = np.nan
+    slimnet.save_weights(net, os.path.join(out, NAV_WEIGHTS_FILE),
+                         config_hash=small_cfg.config_hash())
+    assert run(["eval", *small]) == 3
     err = capsys.readouterr().err
     assert err.startswith("dependency error")
     assert "Traceback" not in err

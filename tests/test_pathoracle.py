@@ -597,3 +597,10 @@ def test_dataset_rejects_corruption(tmp_path):
         (tmp_path / "field.bin").write_bytes(b" ".join(mangled) + b"\n" + body)
         with pytest.raises(LoadError):
             load_dataset(tmp_path / "field.bin")
+    # non-finite record values, in a FIFO feature and in a target
+    for bad, at in ((np.nan, 0), (np.inf, len(body) - 4), (-np.inf, len(body) - 4)):
+        mangled = bytearray(body)
+        mangled[at:at + 4] = np.array([bad], dtype="<f4").tobytes()
+        (tmp_path / "value.bin").write_bytes(head + b"\n" + bytes(mangled))
+        with pytest.raises(LoadError):
+            load_dataset(tmp_path / "value.bin")

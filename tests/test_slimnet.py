@@ -1,9 +1,14 @@
 """Slimmable MLP: masking, truncation equivalence, parameter counting,
 gradients, optimizers, and the weight file format."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from slimnav.auxtrain import ReplayBuffer, TD3Agent, TD3Config
+from slimnav.distill import DistillConfig, train_navigation
 from slimnav.errors import ConfigError, LoadError, TrainingError
+from slimnav.pathoracle import LabeledDataset
 from slimnav.slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
                              active_params, active_width, input_mask_from_power,
                              load_weights, save_weights)
@@ -30,6 +35,12 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         MLPSpec(u=2, q=(4,), v=2, output_activation="bounded",
                 output_low=(0.0,), output_high=(1.0,))
+    with pytest.raises(ConfigError):
+        MLPSpec(u=2, q=(4,), v=1, output_activation="tanh", output_scale=float("nan"))
+    for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ConfigError):
+            MLPSpec(u=2, q=(4,), v=1, output_activation="bounded",
+                    output_low=(lo,), output_high=(hi,))
     MLPSpec(u=2, q=(4,), v=1, output_activation="bounded",
             output_low=(0.25,), output_high=(1.0,))
 
@@ -263,8 +274,7 @@ def test_adam_step_deterministic_and_f32_canonical():
 def test_non_finite_gradients_rejected():
     spec = small_spec()
     net = SlimmableMLP(spec, seed=20)
-    grads = Grads(weights=[np.zeros_like(w) for w in net.weights],
-                  biases=[np.zeros_like(b) for b in net.biases])
+    grads = Grads(spec)
     grads.weights[0][0, 0] = np.nan
     with pytest.raises(TrainingError):
         Adam(net).step(grads)
@@ -300,22 +310,79 @@ def test_load_weights_rejects_corrupt(tmp_path):
     with pytest.raises(LoadError):
         load_weights(p)
     magic, head, payload = blob.split(b"\n", 2)
+    for bad in (np.nan, np.inf, -np.inf):   # non-finite payload values
+        bad_payload = bytearray(payload)
+        bad_payload[-4:] = np.array([bad], dtype="<f4").tobytes()
+        p.write_bytes(b"\n".join([magic, head, bytes(bad_payload)]))
+        with pytest.raises(LoadError):
+            load_weights(p)
     for bad_head in (b"\xff" + head,                          # not UTF-8
                      head.replace(b'"seed": 22', b'"seed": "x"'),
                      head.replace(b'"seed": 22', b'"seed": 2.5'),
-                     head.replace(b'"seed": 22', b'"seed": null')):
+                     head.replace(b'"seed": 22', b'"seed": null'),
+                     head.replace(b'"scale": 1.0', b'"scale": NaN'),      # json reads NaN
+                     head.replace(b'"scale": 1.0', b'"scale": Infinity')):
         assert bad_head != head
         p.write_bytes(b"\n".join([magic, bad_head, payload]))
         with pytest.raises(LoadError):
             load_weights(p)
 
 
-def test_copy_and_copy_weights_from():
+def test_copy():
     net = SlimmableMLP(small_spec(), seed=23)
-    other = SlimmableMLP(small_spec(), seed=24)
     c = net.copy()
     c.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != c.weights[0][0, 0]
-    other.copy_weights_from(net)
-    for a, b in zip(net.weights + net.biases, other.weights + other.biases):
-        assert np.array_equal(a, b)
+
+
+# --- parameter vector ---
+
+# sha256 of save_weights bytes after a few seeded training steps; any change
+# to how parameters are stored, optimized or averaged must keep them. They
+# hold for this numpy/OpenBLAS build, whose matmul summation order they fix.
+PINNED_WEIGHT_SHA256 = {
+    "nav_C": "bf5af62a38252d87619e8b6038e30578574eebe505dd123ac5ef7c40fc35877b",
+    "nav_S": "b7611135b60df83fc4f687faece07568f9010f3d267530db2ebf28b19cd56be1",
+    "actor": "31fe154a543020919d74ed5f683d717ebb1d340c28278cedde8eb2ab40c88a50",
+    "actor_target": "d625c9edc3958e7a6bfdb1a204e650943680a30f9b441b980c5ea8ba2a83eb6d",
+    "critic1_target": "f40719c895161e3e61b148c656633e88d677e037b0a69f42c1bc516a1f6bec62",
+    "critic2_target": "3e12099827e5728c034dd11088eb27e2306aeb02b65e013c3038aa432715cd16",
+}
+
+
+def test_training_steps_pin_weight_file_bytes(tmp_path):
+    def dataset(n, u, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, u))
+        return LabeledDataset(fifo_vectors=x, targets=np.tanh(x[:, :3]), depth=1)
+
+    def digest(net):
+        save_weights(net, tmp_path / "w.bin")
+        return hashlib.sha256((tmp_path / "w.bin").read_bytes()).hexdigest()
+
+    layout = ObservationLayout(1)
+    u = layout.total_width
+    spec = MLPSpec(u=u, q=(8, 6), v=3)
+    # mode C stops at epoch 6 and restores the epoch-4 snapshot
+    cfg = DistillConfig(max_epochs=8, patience=2, batch_size=16, lr=0.03, seed=5)
+    nets = {}
+    for mode in ("C", "S"):
+        nets[f"nav_{mode}"], _ = train_navigation(
+            dataset(48, u, 1), dataset(16, u, 2), spec, cfg, mode=mode, layout=layout)
+
+    agent = TD3Agent(5, [0.0, -1.0], [1.0, 1.0],
+                     TD3Config(policy_delay=1, batch_size=8, tau=0.3),
+                     actor_hidden=(6,), critic_hidden=(7,), seed=6)
+    buf = ReplayBuffer(32, 5, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(32):
+        buf.add(rng.normal(size=5), rng.uniform(agent.low, agent.high),
+                rng.normal(), rng.normal(size=5), float(rng.uniform() < 0.2))
+    for _ in range(3):
+        agent.update(buf, rng)
+    for name in ("actor", "actor_target", "critic1_target", "critic2_target"):
+        nets[name] = getattr(agent, name)
+
+    assert {name: digest(net) for name, net in nets.items()} == PINNED_WEIGHT_SHA256
+    for net in nets.values():
+        assert all(a.base is net.params for a in net.weights + net.biases)

@@ -100,6 +100,8 @@ def test_load_world_rejects_malformed(tmp_path):
                  b"NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=dense\n2048 0\n",
                  b"NAVIWORLD v1 -16 16 8 1.0\n# seed=0 density=0.0\n2048 0\n",
                  b"NAVIWORLD v1 16 16 8 0.0\n# seed=0 density=0.0\n2048 0\n",
+                 b"NAVIWORLD v1 16 16 8 inf\n# seed=0 density=0.0\n2048 0\n",
+                 b"NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=nan\n2048 0\n",
                  b"NAVIWORLD v1 16 16 8 1.0\n# seed=\xff density=0.0\n2048 0\n"):
         p.write_bytes(text)
         with pytest.raises(LoadError):
