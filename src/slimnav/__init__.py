@@ -7,8 +7,8 @@ auxiliary network picks the slimming factor or sensor powers step by step.
 """
 from .errors import (ConfigError, ConstraintViolation, DependencyError,
                      LoadError, NoPathError, SensorError, TrainingError)
-from .worldsim import (DroneState, FifoQueue, Observation, ObservationLayout,
-                       SensorConfig, VoxelGrid, cast_ray, cast_rays,
+from .worldsim import (DroneState, FifoQueue, Flight, Observation,
+                       ObservationLayout, SensorConfig, VoxelGrid, cast_rays,
                        generate_world, load_world, save_world, sense, step)
 from .slimnet import (Adam, MLPSpec, SlimMask, SlimmableMLP, active_params,
                       active_width, input_mask_from_power, load_weights,
@@ -19,12 +19,11 @@ from .pathoracle import (LabeledDataset, MapGraph, OptimalPath, Task,
                          path_cost, save_dataset, save_paths)
 from .distill import (DistillConfig, EvalReport, TrainReport,
                       evaluate_navigation, rmse_by_power, rmse_by_rho,
-                      train_navigation, train_navigation_multi_seed)
+                      train_navigation)
 from .auxtrain import (ConstraintConfig, CurriculumController, EpisodeLog,
                        EtaReport, GateReport, ReplayBuffer, RewardWeights,
                        TD3Agent, TD3Config, compute_eta, format_percent,
-                       q_return, random_walk_probe, reward, run_episode,
-                       train_auxiliary)
+                       reward, run_episode, train_auxiliary)
 from .cli import ExperimentConfig, main
 
 __version__ = "0.1.0"

@@ -1,7 +1,6 @@
-"""Auxiliary-network training: reward shaping, discounted returns, a
-random-walk reward probe, TD3 with twin critics and a delayed actor, the
-closed-loop episode runner for both adaptation modes, a distance curriculum,
-and resource-usage metrics.
+"""Auxiliary-network training: reward shaping, TD3 with twin critics and a
+delayed actor, episodes in both adaptation modes (flown through
+`worldsim.Flight`), a distance curriculum, and resource-usage metrics.
 
 Mode "C" adapts compute: the auxiliary actor emits a slimming factor rho for
 the navigation network while sensing stays at max power. Mode "S" adapts
@@ -12,17 +11,16 @@ navigation network runs at full width with the matching input mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import worldsim
-from .errors import ConfigError, TrainingError
-from .slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
-                      active_params, input_mask_from_power)
+from .errors import ConfigError
+from .slimnet import (Adam, MLPSpec, SlimMask, SlimmableMLP, active_params,
+                      input_mask_from_power)
 from .worldsim import (ACTIVE, COLLIDED, DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE,
-                       DEFAULT_MAX_STEP, DroneState, FifoQueue, OBS_WIDTH,
-                       ObservationLayout, REACHED, SensorConfig, sense, step)
+                       DEFAULT_MAX_STEP, Flight, OBS_WIDTH, ObservationLayout,
+                       REACHED, SensorConfig)
 
 TIMEOUT = "timeout"
 
@@ -61,56 +59,6 @@ def reward(d: float, terminal: str, rho: float, p_f: float, p_d: float,
     if terminal == REACHED:
         return w.goal
     return w.progress * math.tanh(d) - w.time - w.compute * rho - w.sensing * (p_f + p_d)
-
-
-def q_return(rewards, gamma: float, t: int = 0) -> float:
-    """Discounted return of the reward suffix starting at step t:
-    sum_i gamma^(i-t) * r_i. Satisfies q(t) = r_t + gamma * q(t+1)."""
-    rewards = list(rewards)
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    if not 0 <= t < len(rewards):
-        raise ValueError(f"step {t} outside episode of length {len(rewards)}")
-    q = 0.0
-    for r in reversed(rewards[t:]):
-        q = r + gamma * q
-    return q
-
-
-@dataclass
-class ProbeResult:
-    mean_q: float
-    std_q: float
-    q_values: np.ndarray
-    mean_steps: float
-
-
-def random_walk_probe(w: RewardWeights, gamma: float, n_walks: int,
-                      seed: int = 0, start_distance: float = 100.0,
-                      step_mean: float = 1.0, step_std: float = 0.5,
-                      goal_radius: float = DEFAULT_GOAL_RADIUS,
-                      max_steps: int = 500, rho: float = 1.0,
-                      p_f: float = 3, p_d: float = 3) -> ProbeResult:
-    """Vets a reward weighting before any training: scalar-distance walks
-    start start_distance out and step toward the goal by Gaussian-noised
-    increments; each walk's rewards are rolled up into a discounted return."""
-    rng = np.random.default_rng(seed)
-    qs = np.empty(n_walks)
-    steps = np.empty(n_walks)
-    for i in range(n_walks):
-        dist = start_distance
-        rewards = []
-        for t in range(max_steps):
-            d = step_mean + (step_std * rng.standard_normal() if step_std > 0 else 0.0)
-            dist -= d
-            if dist <= goal_radius:
-                rewards.append(reward(d, REACHED, rho, p_f, p_d, w))
-                break
-            rewards.append(reward(d, ACTIVE, rho, p_f, p_d, w))
-        qs[i] = q_return(rewards, gamma)
-        steps[i] = len(rewards)
-    return ProbeResult(mean_q=float(qs.mean()), std_q=float(qs.std()),
-                       q_values=qs, mean_steps=float(steps.mean()))
 
 
 class ReplayBuffer:
@@ -327,7 +275,7 @@ class EpisodeLog:
 def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                 mode: str = "C", *, spawn, goal, weights: RewardWeights | None = None,
                 depth: int = 4, rho_min: float = 0.25,
-                fixed_rho: float = 1.0, fixed_powers=MAX_POWER,
+                fixed_rho: float = 1.0,
                 goal_radius: float = DEFAULT_GOAL_RADIUS,
                 max_step: float = DEFAULT_MAX_STEP,
                 max_range: float = DEFAULT_MAX_RANGE,
@@ -342,8 +290,9 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
 
     Mode S: sense at the current power levels, push the FIFO, run the
     navigation network at full width with the matching input mask, pick the
-    next levels (applied at the next acquisition; the first one is max
-    power), step, reward with rho = 1 and the freshly emitted levels.
+    next levels (aux actor, `policy` override, or max power; applied at the
+    next acquisition, the first one is max power), step, reward with rho = 1
+    and the freshly emitted levels.
 
     `policy` maps the flattened FIFO to the raw continuous action and
     overrides the aux network. `transition_sink(s, a, r, s2, done)` receives
@@ -353,11 +302,8 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
         raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
     w = weights or RewardWeights()
     layout = ObservationLayout(depth)
-    state = DroneState(position=np.asarray(spawn, dtype=float),
-                       goal=np.asarray(goal, dtype=float),
-                       vertical_locked=vertical_locked)
-    fifo = FifoQueue(depth, OBS_WIDTH)
-    last_action = np.zeros(3)
+    flight = Flight(grid, spawn, goal, depth, vertical_locked, goal_radius,
+                    max_step)
     powers = MAX_POWER  # first acquisition is always max power
 
     def select_action(x):
@@ -367,16 +313,13 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
             return np.asarray(aux.forward(x), dtype=float)
         if mode == "C":
             return np.array([fixed_rho])
-        return np.asarray(fixed_powers, dtype=float)
+        return np.asarray(MAX_POWER, dtype=float)
 
     steps_log: list[EpisodeStep] = []
     pending = None
     outcome = TIMEOUT
     for _ in range(max_steps):
-        obs = sense(grid, state, SensorConfig(powers[0], powers[1], max_range),
-                    last_action=last_action)
-        fifo.push(obs.vector())
-        x = fifo.flatten()
+        x, obs = flight.observe(SensorConfig(powers[0], powers[1], max_range))
         if pending is not None and transition_sink is not None:
             transition_sink(*pending, x, 0.0)
         pending = None
@@ -398,10 +341,8 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
             reward_powers = emitted
             m_act = active_params(nav.spec, 1.0, active_inputs=in_mask)[0]
 
-        motion = nav.forward(x, mask)
-        prev_dist = state.goal_distance()
-        applied = worldsim.clamp_motion(motion, max_step, vertical_locked)
-        state = step(grid, state, motion, goal_radius=goal_radius, max_step=max_step)
+        prev_dist = flight.state.goal_distance()
+        state = flight.move(nav.forward(x, mask))
         d = prev_dist - state.goal_distance()
         r = reward(d, state.terminal, rho, reward_powers[0], reward_powers[1], w)
         steps_log.append(EpisodeStep(
@@ -409,7 +350,6 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
             p_f=used_powers[0], p_d=used_powers[1], reward=r,
             m_active=m_act, mean_forward_depth=obs.mean_forward_depth(),
             mean_downward_depth=obs.mean_downward_depth()))
-        last_action = applied / max_step
         if mode == "S":
             powers = emitted
 
@@ -422,9 +362,7 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
 
     if pending is not None and transition_sink is not None:
         # timed out while active: sense once more to complete the transition
-        obs = sense(grid, state, SensorConfig(powers[0], powers[1], max_range),
-                    last_action=last_action)
-        x2 = fifo.copy().push(obs.vector()).flatten()
+        x2, _ = flight.observe(SensorConfig(powers[0], powers[1], max_range))
         transition_sink(*pending, x2, 0.0)
 
     opt_steps = opt_len = None
@@ -496,7 +434,6 @@ def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,
                     max_range=DEFAULT_MAX_RANGE, max_steps=200) -> list:
     """Deterministic-policy episodes on sampled tasks; returns EpisodeLogs."""
     logs = []
-    policy = (lambda x: agent.act(x)) if agent is not None else None
     for _ in range(n_episodes):
         sampler = samplers[int(rng.integers(len(samplers)))]
         task = sampler.sample(region, distance, rng)
@@ -508,7 +445,7 @@ def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,
                           goal_radius=goal_radius, max_step=max_step,
                           max_range=max_range, max_steps=max_steps,
                           vertical_locked=sampler.graph.vertical_locked,
-                          policy=policy, optimal_path=task.path)
+                          policy=agent.act, optimal_path=task.path)
         logs.append(log)
     return logs
 
@@ -617,7 +554,6 @@ def train_auxiliary(samplers, nav: SlimmableMLP, mode: str,
                                 max_range=max_range,
                                 max_steps=td3_cfg.max_episode_steps)
     ok, violations = check_gate(gate_logs, constraint.beta)
-    succ = [l for l in gate_logs if l.outcome == REACHED]
     mean_rho = float(np.mean([l.mean_rho() for l in gate_logs]))
     pf = float(np.mean([l.mean_powers()[0] for l in gate_logs]))
     pd = float(np.mean([l.mean_powers()[1] for l in gate_logs]))

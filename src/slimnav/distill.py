@@ -185,25 +185,6 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
     return net, report
 
 
-def train_navigation_multi_seed(train_ds, val_ds, spec: MLPSpec,
-                                cfg: DistillConfig, seeds, mode: str = "C",
-                                layout: ObservationLayout | None = None,
-                                test_ds=None):
-    """Train once per seed and keep the network with the best validation
-    loss. Returns (net, its report, all reports)."""
-    best = None
-    reports = []
-    for seed in seeds:
-        run_cfg = DistillConfig(**{**cfg.__dict__, "seed": int(seed)})
-        net, rep = train_navigation(train_ds, val_ds, spec, run_cfg, mode,
-                                    layout, test_ds)
-        reports.append(rep)
-        score = min(rep.val_losses)
-        if best is None or score < best[0]:
-            best = (score, net, rep)
-    return best[1], best[2], reports
-
-
 def rmse_on_dataset(net: SlimmableMLP, ds, mask: SlimMask | None = None) -> float:
     y = net.forward(ds.fifo_vectors, mask)
     return float(np.sqrt(np.mean((y - ds.targets) ** 2)))
@@ -232,24 +213,24 @@ class EvalReport:
 
 
 def evaluate_navigation(nav: SlimmableMLP, grid, tasks, *, mode: str = "C",
-                        rho: float = 1.0, powers=POWER_MAX, depth: int = 4,
+                        rho: float = 1.0, depth: int = 4,
                         weights: RewardWeights | None = None,
                         vertical_locked: bool = False,
                         goal_radius: float = DEFAULT_GOAL_RADIUS,
                         max_step: float = DEFAULT_MAX_STEP,
                         max_range: float = DEFAULT_MAX_RANGE,
                         max_steps: int = 200) -> EvalReport:
-    """Run the navigation network alone (no auxiliary adaptation) at a fixed
-    slimming factor or power setting over the given tasks. The length ratio
-    compares flown step counts to the optimal path's step count, over
-    successful episodes."""
+    """Run the navigation network alone (no auxiliary adaptation) over the
+    given tasks, at a fixed slimming factor in mode C or at max power in
+    mode S. The length ratio compares flown step counts to the optimal
+    path's step count, over successful episodes."""
     logs = []
     for task in tasks:
         log = run_episode(grid, nav, None, mode,
                           spawn=grid.center_of(task.spawn),
                           goal=grid.center_of(task.goal),
                           weights=weights, depth=depth, fixed_rho=rho,
-                          fixed_powers=powers, goal_radius=goal_radius,
+                          goal_radius=goal_radius,
                           max_step=max_step, max_range=max_range,
                           max_steps=max_steps, vertical_locked=vertical_locked,
                           optimal_path=task.path)

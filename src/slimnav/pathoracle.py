@@ -1,6 +1,8 @@
 """Optimal-path supervision: free-space motion graphs over the voxel world,
 A* search, map partitioning into train/validation/test slabs, and labeling
-of observation FIFOs with expert motions."""
+of observation FIFOs with expert motions, either along replayed optimal
+paths or at the states a policy visits when flown closed loop through
+`worldsim.Flight`."""
 
 from __future__ import annotations
 
@@ -419,33 +421,24 @@ def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
     xs, ys = [], []
     for task in tasks:
         gv = tuple(task.goal)
-        state = DroneState(position=grid.center_of(task.spawn),
-                           goal=grid.center_of(task.goal),
-                           vertical_locked=graph.vertical_locked)
-        fifo = FifoQueue(depth, OBS_WIDTH)
-        last = np.zeros(3)
+        flight = worldsim.Flight(grid, grid.center_of(task.spawn),
+                                 grid.center_of(task.goal), depth,
+                                 graph.vertical_locked, goal_radius, max_step)
         budget = max_steps or max(60, int(5 * task.distance(res)))
         for _ in range(budget):
-            obs = sense(grid, state, sensor, last_action=last)
-            fifo.push(obs.vector())
-            x = fifo.flatten()
-            v = grid.voxel_of(state.position)
+            x, _ = flight.observe(sensor)
+            pos = flight.state.position
+            v = grid.voxel_of(pos)
             if v != gv:
                 nxt = first_hop(v, gv)
                 if nxt is not None:
                     reps = crowd_boost if graph.crowding[v[0], v[1], v[2]] \
                         else 1
-                    target = np.clip(nxt - state.position,
-                                     -max_step, max_step)
+                    target = np.clip(nxt - pos, -max_step, max_step)
                     for _ in range(reps):
                         xs.append(x)
                         ys.append(target)
-            action = np.asarray(policy(x), dtype=float)
-            state = worldsim.step(grid, state, action,
-                                  goal_radius=goal_radius, max_step=max_step)
-            last = worldsim.clamp_motion(action, max_step,
-                                         graph.vertical_locked) / max_step
-            if state.terminal != worldsim.ACTIVE:
+            if flight.move(policy(x)).terminal != worldsim.ACTIVE:
                 break
     if not xs:
         raise ConfigError("no rollout states to label, dataset would be empty")

@@ -1,5 +1,6 @@
 """Voxel flight world: procedural occupancy grids, depth-ray sensing, drone
-motion with segment collision checks, and the observation FIFO.
+motion with segment collision checks, the observation FIFO, and the
+closed-loop flight that ties sensing, FIFO and motion together.
 
 World frame: the grid spans [0, n*resolution) meters on each axis, voxel
 (i, j, k) covers [i*res, (i+1)*res) x ... ; the outermost voxel shell is
@@ -9,7 +10,7 @@ always occupied so the volume is enclosed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,10 +129,6 @@ class VoxelGrid:
 
     def occupied_at(self, point) -> bool:
         return self.occupied_voxel(self.voxel_of(point))
-
-    def interior_free_fraction(self) -> float:
-        inner = self.occupancy[1:-1, 1:-1, 1:-1]
-        return 1.0 - float(np.count_nonzero(inner)) / inner.size
 
 
 def generate_world(dims, resolution: float = 1.0, density: float = 0.0,
@@ -382,9 +379,11 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
     start = np.concatenate(([0], np.cumsum(need)[:-1]))
     times = np.repeat(t_delta, need, axis=1)
     times[:, start[need > 0]] = t_first[:, need > 0]
-    for a in range(3):
-        block = times[:, start[a]:start[a] + need[a]]
-        np.cumsum(block, axis=1, out=block)
+    # a sum that overflows to inf is a crossing the ray never makes
+    with np.errstate(over="ignore"):
+        for a in range(3):
+            block = times[:, start[a]:start[a] + need[a]]
+            np.cumsum(block, axis=1, out=block)
     order = np.argsort(times, axis=1, kind="stable")
     order += (np.arange(n) * m)[:, None]       # flat positions in `times`
 
@@ -405,10 +404,6 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
     np.minimum(depth, t_exit, out=depth)
     depth[depth > max_range] = max_range
     return depth
-
-
-def cast_ray(grid: VoxelGrid, origin, direction, max_range: float = DEFAULT_MAX_RANGE) -> float:
-    return float(cast_rays(grid, origin, np.asarray(direction, dtype=float)[None, :], max_range)[0])
 
 
 def segment_hits(grid: VoxelGrid, start, delta):
@@ -537,10 +532,45 @@ class FifoQueue:
     def flatten(self) -> np.ndarray:
         return self.slots.reshape(-1).copy()
 
-    def copy(self) -> "FifoQueue":
-        q = FifoQueue(self.depth, self.width)
-        q.slots = self.slots.copy()
-        return q
+
+class Flight:
+    """One closed-loop flight from spawn to goal: the drone state, its
+    observation FIFO and the last applied motion.
+
+    Each step of a flight is `observe` (sense, then push the FIFO), a
+    policy reading the flattened FIFO, then `move`. Every closed-loop
+    caller goes through this pair, so the navigator sees the same inputs
+    whether it is being relabeled or adapted.
+    """
+
+    def __init__(self, grid: VoxelGrid, spawn, goal, depth: int,
+                 vertical_locked: bool = False,
+                 goal_radius: float = DEFAULT_GOAL_RADIUS,
+                 max_step: float = DEFAULT_MAX_STEP):
+        self.grid = grid
+        self.state = DroneState(position=spawn, goal=goal,
+                                vertical_locked=vertical_locked)
+        self.fifo = FifoQueue(depth)
+        self.last_action = np.zeros(3)
+        self.goal_radius = goal_radius
+        self.max_step = max_step
+
+    def observe(self, config: SensorConfig) -> tuple[np.ndarray, Observation]:
+        """Sense at `config`, push the observation, and return the flattened
+        FIFO together with the observation."""
+        obs = sense(self.grid, self.state, config, last_action=self.last_action)
+        self.fifo.push(obs.vector())
+        return self.fifo.flatten(), obs
+
+    def move(self, motion) -> DroneState:
+        """Apply one motion command (clamped as `step` clamps it) and return
+        the new state. The clamped command, normalized by max_step, is the
+        last action of the next observation."""
+        self.state = step(self.grid, self.state, motion,
+                          goal_radius=self.goal_radius, max_step=self.max_step)
+        self.last_action = clamp_motion(motion, self.max_step,
+                                        self.state.vertical_locked) / self.max_step
+        return self.state
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Reward shaping, discounted returns, replay buffer, TD3 mechanics,
-episode execution in both adaptation modes, curriculum, and usage metrics."""
+"""Reward shaping, replay buffer, TD3 mechanics, episode execution in both
+adaptation modes, curriculum, and usage metrics."""
 
 import math
 
@@ -11,8 +11,8 @@ from slimnav import pathoracle, worldsim
 from slimnav.auxtrain import (CurriculumController, EpisodeLog, EpisodeStep,
                               ReplayBuffer, RewardWeights, TD3Agent, TD3Config,
                               check_gate, compute_eta, format_percent,
-                              q_return, random_walk_probe, reward, run_episode,
-                              train_auxiliary, ConstraintConfig)
+                              reward, run_episode, train_auxiliary,
+                              ConstraintConfig)
 from slimnav.errors import ConfigError
 from slimnav.slimnet import MLPSpec, SlimmableMLP, active_params
 from slimnav.worldsim import ACTIVE, COLLIDED, OBS_WIDTH, REACHED
@@ -42,45 +42,6 @@ def test_reward_branches():
     assert got == pytest.approx(0.41159415595576, abs=1e-12)
     # all non-terminal terms vanish except the time penalty
     assert reward(0.0, ACTIVE, 0.0, 0, 0, w) == pytest.approx(-0.1)
-
-
-def test_q_return_cases():
-    assert q_return([1.0, 1.0, 1.0], 0.5) == pytest.approx(1.75)
-    rewards = [3.0, -1.0, 2.0, 0.5]
-    assert q_return(rewards, 0.0, 2) == 2.0
-    # recursion identity on a random episode
-    rng = np.random.default_rng(0)
-    eps = list(rng.normal(size=20))
-    for t in range(19):
-        assert q_return(eps, 0.9, t) == pytest.approx(
-            eps[t] + 0.9 * q_return(eps, 0.9, t + 1), rel=1e-12)
-    with pytest.raises(ValueError):
-        q_return(eps, 1.5)
-    with pytest.raises(ValueError):
-        q_return(eps, 0.9, 20)
-
-
-def test_random_walk_probe_noiseless_goal_only():
-    w = RewardWeights(collision=0, goal=5, progress=0, time=0,
-                      compute=0, sensing=0)
-    res = random_walk_probe(w, 0.9, n_walks=3, seed=1, step_std=0.0)
-    # 100 m out, 1 m steps, 2 m goal radius: terminal on step 98
-    assert res.mean_steps == 98
-    assert res.mean_q == pytest.approx(0.9 ** 97 * 5.0, rel=1e-12)
-    assert res.std_q == pytest.approx(0.0, abs=1e-15)
-
-
-def test_random_walk_probe_stalled_walk_is_negative():
-    res = random_walk_probe(RewardWeights(), 0.95, n_walks=2, seed=2,
-                            step_mean=0.0, step_std=0.0, max_steps=50)
-    assert res.mean_q < 0.0
-    assert res.mean_steps == 50
-
-
-def test_random_walk_probe_default_weights_positive():
-    res = random_walk_probe(RewardWeights(), 0.99, n_walks=300, seed=3)
-    assert res.mean_q > 0.0
-    assert res.q_values.shape == (300,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The loop-free `cast_rays` against the stepwise DDA it replaced: exact
 equality, no tolerance, on random worlds, origins, directions and ranges."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ def test_cast_rays_overflowing_reciprocal_counts_as_zero():
     with np.errstate(all="ignore"):
         assert np.isnan(dda_cast_rays(grid, o, [tiny])[0])
     assert cast_rays(grid, o, [tiny])[0] == dda_cast_rays(grid, o, [(1.0, 0.0, 0.0)])[0]
+
+
+def test_cast_rays_overflowing_crossing_sum_is_silent():
+    # 1/d is finite but huge, so the running sum of y crossing times
+    # overflows to inf: a crossing the ray never makes, not a warning
+    grid = generate_world((32, 32, 8))
+    o, dirs = (8.3, 8.3, 4.3), [[1.0, 1e-307, 0.0], [0.0, 1.0, 0.0]]
+    want = dda_cast_rays(grid, o, dirs, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cast_rays(grid, o, dirs, 100.0)
+    assert got.tobytes() == want.tobytes()
 
 
 def two_call_sense(grid, state, config):

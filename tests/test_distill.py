@@ -8,8 +8,7 @@ from slimnav import distill, pathoracle, worldsim
 from slimnav.distill import (DistillConfig, evaluate_navigation,
                              rmse_by_power, rmse_by_rho, rmse_on_dataset,
                              supervised_distillation_C,
-                             supervised_distillation_S, train_navigation,
-                             train_navigation_multi_seed)
+                             supervised_distillation_S, train_navigation)
 from slimnav.errors import ConfigError
 from slimnav.pathoracle import LabeledDataset
 from slimnav.slimnet import MLPSpec, SlimMask, SlimmableMLP
@@ -143,21 +142,6 @@ def test_training_is_deterministic(toy):
     n3, _ = train_navigation(train, val, spec,
                              DistillConfig(max_epochs=5, seed=8))
     assert any(not np.array_equal(a, b) for a, b in zip(n1.weights, n3.weights))
-
-
-def test_multi_seed_keeps_best(toy):
-    train, val, _ = toy
-    spec = MLPSpec(u=24, q=(12,), v=3)
-    cfg = DistillConfig(max_epochs=6, seed=0)
-    net, best_rep, reports = train_navigation_multi_seed(
-        train, val, spec, cfg, seeds=(0, 1, 2))
-    assert len(reports) == 3
-    assert {r.seed for r in reports} == {0, 1, 2}
-    best = min(min(r.val_losses) for r in reports)
-    assert min(best_rep.val_losses) == best
-    full = SlimMask(spec)
-    got = distill._mse(net.forward(val.fifo_vectors, full), val.targets)
-    assert got == pytest.approx(best, rel=1e-12)
 
 
 def test_distilled_beats_control_at_low_rho(toy):

@@ -10,7 +10,7 @@ from slimnav.errors import ConfigError, LoadError, SensorError
 from slimnav.worldsim import (ACTIVE, COLLIDED, DOWNWARD_RAYS, DroneState,
                               FifoQueue, FORWARD_RAYS, OBS_WIDTH,
                               ObservationLayout, REACHED, SensorConfig,
-                              VoxelGrid, cast_ray, cast_rays, clamp_motion,
+                              VoxelGrid, cast_rays, clamp_motion,
                               downward_level_indices, forward_level_indices,
                               generate_world, load_world, save_world,
                               segment_hits, sense, step)
@@ -43,15 +43,18 @@ def test_generate_world_shell_is_solid(world):
     assert occ[:, :, 0].all() and occ[:, :, -1].all()
 
 
+def interior_occupied(grid) -> int:
+    return int(np.count_nonzero(grid.occupancy[1:-1, 1:-1, 1:-1]))
+
+
 def test_generate_world_density_zero_means_empty_interior(empty):
-    assert not empty.occupancy[1:-1, 1:-1, 1:-1].any()
-    assert empty.interior_free_fraction() == 1.0
+    assert interior_occupied(empty) == 0
 
 
 def test_generate_world_density_scales_occupancy():
     lo = generate_world((32, 32, 8), density=0.1, seed=5)
     hi = generate_world((32, 32, 8), density=0.4, seed=5)
-    assert lo.interior_free_fraction() > hi.interior_free_fraction()
+    assert interior_occupied(lo) < interior_occupied(hi)
 
 
 def test_generate_world_rejects_bad_arguments():
@@ -122,7 +125,7 @@ def brute_force_depth(grid, origin, direction, max_range, ds=0.002):
 
 def test_cast_ray_exact_axis_hit(empty):
     # from x=8.5 toward +x: wall voxel starts at x=15, so depth = 6.5
-    d = cast_ray(empty, (8.5, 8.0, 4.0), (1.0, 0.0, 0.0))
+    (d,) = cast_rays(empty, (8.5, 8.0, 4.0), [(1.0, 0.0, 0.0)])
     assert d == pytest.approx(6.5, abs=1e-9)
 
 
@@ -144,16 +147,17 @@ def test_cast_rays_match_brute_force(world):
 
 
 def test_cast_rays_cap_and_errors(empty):
-    assert cast_ray(empty, (8.0, 8.0, 4.0), (1.0, 0.0, 0.0), max_range=3.0) == 3.0
+    x = [(1.0, 0.0, 0.0)]
+    assert cast_rays(empty, (8.0, 8.0, 4.0), x, max_range=3.0)[0] == 3.0
     with pytest.raises(SensorError):
-        cast_ray(empty, (0.5, 0.5, 0.5), (1.0, 0.0, 0.0))   # inside the shell
+        cast_rays(empty, (0.5, 0.5, 0.5), x)   # inside the shell
     with pytest.raises(ValueError):
-        cast_ray(empty, (8.0, 8.0, 4.0), (0.0, 0.0, 0.0))
+        cast_rays(empty, (8.0, 8.0, 4.0), [(0.0, 0.0, 0.0)])
     for bad in ((np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0)):
         with pytest.raises(ValueError):
-            cast_ray(empty, (8.0, 8.0, 4.0), bad)
+            cast_rays(empty, (8.0, 8.0, 4.0), [bad])
     with pytest.raises(ValueError):
-        cast_ray(empty, (8.0, 8.0, 4.0), (1.0, 0.0, 0.0), max_range=float("nan"))
+        cast_rays(empty, (8.0, 8.0, 4.0), x, max_range=float("nan"))
 
 
 # --- segments and motion ---
@@ -289,8 +293,11 @@ def test_fifo_validation_and_copy():
     q = FifoQueue(2, width=3)
     with pytest.raises(ValueError):
         q.push((1.0, 2.0))
-    c = q.copy().push((1.0, 2.0, 3.0))
-    assert np.all(q.flatten() == 0.0) and c.flatten()[0] == 1.0
+    # flatten hands out a copy: a caller that keeps or edits it cannot
+    # change the queue
+    flat = q.flatten()
+    flat[0] = 1.0
+    assert np.all(q.flatten() == 0.0)
 
 
 def test_observation_layout_masks():
