@@ -1,6 +1,7 @@
 """Experiment configuration, artifact hashing, CSV helpers, exit codes, and
 the full command pipeline on miniature worlds in both adaptation modes."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -551,6 +552,78 @@ def test_pipeline_report_idempotent(mini_c):
     for p, blob in before.items():
         with open(p, "rb") as f:
             assert f.read() == blob
+
+
+# sha256 prefixes of every artifact the mini pipelines write, except the two
+# tables of wall times and config.json (it holds the temporary out_dir; the
+# config hash is pinned above). Recorded with numpy 2.4 on x86-64; a BLAS
+# that rounds the networks' matrix products differently changes them.
+PIPELINE_DIGESTS = {
+    "C": {
+        "aux_actor.bin": "909e92439e82799e",
+        "aux_critic1.bin": "bc5cdec3c5d3374b",
+        "aux_critic2.bin": "4cf41fb6d087601c",
+        "aux_episodes.csv": "a0589e5cfb46e611",
+        "aux_eval.csv": "b76882151f9f98f5",
+        "aux_updates.csv": "ce19db628bf951db",
+        "eval_episodes.csv": "de440a086335deac",
+        "eval_rmse.csv": "c2d13b470b1f7ec3",
+        "eval_success.csv": "db350ff8b31b9891",
+        "gate.txt": "34a043e1a6d196a8",
+        "nav_train.csv": "600ee37401077306",
+        "nav_weights.bin": "29b8dfc04fc44d1e",
+        "report_depth_bins.csv": "ac75ba731600867d",
+        "report_heatmap.csv": "1aa53a986a2821c5",
+        "report_rmse.csv": "c2d13b470b1f7ec3",
+        "report_success.csv": "db350ff8b31b9891",
+        "report_summary.csv": "11896bb737972da2",
+        "test_data.bin": "86d675474589b319",
+        "test_paths.txt": "41804420f91fe51e",
+        "train_data.bin": "9a53c3817eb2f8cb",
+        "train_paths.txt": "a437eb6cf86c2646",
+        "val_data.bin": "2fe3d3810a5823b7",
+        "val_paths.txt": "a9effda5c4d4ed1a",
+        "world.txt": "8f5a27d7437144ca",
+    },
+    "S": {
+        "aux_actor.bin": "c7975dbdc1816498",
+        "aux_critic1.bin": "74bd884c4ec9a8ce",
+        "aux_critic2.bin": "7e7efad5da73c3b9",
+        "aux_episodes.csv": "ce462cb841021a93",
+        "aux_eval.csv": "d14c9978728be125",
+        "aux_updates.csv": "00810cf1316494e4",
+        "eval_episodes.csv": "9f987dbccebf7222",
+        "eval_rmse.csv": "703b026fb51bcb93",
+        "eval_success.csv": "da45e95dd9212ab3",
+        "gate.txt": "3b6b72656f9e64f9",
+        "nav_train.csv": "29055d678f190680",
+        "nav_weights.bin": "d88bc958d2d4665b",
+        "report_depth_bins.csv": "7f2a2b3fed985fff",
+        "report_heatmap.csv": "6967d106d9152c71",
+        "report_rmse.csv": "703b026fb51bcb93",
+        "report_success.csv": "da45e95dd9212ab3",
+        "report_summary.csv": "73f900811d704ba0",
+        "test_data.bin": "c5034207a87b11d9",
+        "test_paths.txt": "41804420f91fe51e",
+        "train_data.bin": "3812f5dc49413d78",
+        "train_paths.txt": "a437eb6cf86c2646",
+        "val_data.bin": "3b8b1487f9b56228",
+        "val_paths.txt": "a9effda5c4d4ed1a",
+        "world.txt": "f09e189c4a302c65",
+    },
+}
+UNPINNED_ARTIFACTS = {CONFIG_FILE, BENCH_FILE, REPORT_FILES["timing"]}
+
+
+@pytest.mark.parametrize("mode", ["C", "S"])
+def test_pipeline_artifacts_pinned(mode, mini_c, mini_s):
+    cfg, _, _ = {"C": mini_c, "S": mini_s}[mode]
+    found = {}
+    for name in sorted(os.listdir(cfg.out_dir)):
+        if name not in UNPINNED_ARTIFACTS:
+            with open(os.path.join(cfg.out_dir, name), "rb") as f:
+                found[name] = hashlib.sha256(f.read()).hexdigest()[:16]
+    assert found == PIPELINE_DIGESTS[mode]
 
 
 def test_pipeline_rejects_stale_artifacts(mini_c):
