@@ -20,7 +20,7 @@ from .pathoracle import (LabeledDataset, MapGraph, OptimalPath, Task,
 from .distill import (DistillConfig, EvalReport, TrainReport,
                       evaluate_navigation, rmse_by_power, rmse_by_rho,
                       train_navigation)
-from .auxtrain import (ConstraintConfig, CurriculumController, EpisodeLog,
+from .auxtrain import (AuxConfig, ConstraintConfig, Curriculum, EpisodeLog,
                        EtaReport, GateReport, ReplayBuffer, RewardWeights,
                        TD3Agent, TD3Config, compute_eta, format_percent,
                        reward, run_episode, train_auxiliary)

@@ -6,6 +6,10 @@ Mode "C" adapts compute: the auxiliary actor emits a slimming factor rho for
 the navigation network while sensing stays at max power. Mode "S" adapts
 sensing: the actor emits the next (p_f, p_d) power levels while the
 navigation network runs at full width with the matching input mask.
+
+`AuxConfig`, `Curriculum`, `RewardWeights` and `ConstraintConfig` are also
+the ``aux``, ``curriculum``, ``reward`` and ``constraint`` sections of the
+CLI configuration.
 """
 
 from __future__ import annotations
@@ -213,26 +217,45 @@ class TD3Agent:
         return losses
 
 
-class CurriculumController:
+@dataclass
+class AuxConfig(TD3Config):
+    """TD3 settings plus the training run around them: network widths, seed,
+    env-step budget, how often and how long to evaluate, and the final
+    gate's episode count and distance (None: the last curriculum distance)."""
+
+    actor_hidden: tuple[int, ...] = (32, 32)
+    critic_hidden: tuple[int, ...] = (64, 64)
+    seed: int = 0
+    total_env_steps: int = 30_000
+    eval_every_episodes: int = 20
+    eval_episodes: int = 10
+    gate_episodes: int = 20
+    gate_distance: float | None = 20.0
+
+
+@dataclass(frozen=True)
+class Curriculum:
     """Spawn-goal distance schedule: starts small, advances by a fixed
     increment whenever evaluation success reaches the threshold, never
     decreases."""
 
-    def __init__(self, start: float = 10.0, increment: float = 10.0,
-                 maximum: float = 40.0, threshold: float = 0.8):
-        if start <= 0 or increment < 0 or maximum < start:
-            raise ConfigError("curriculum needs 0 < start <= maximum and increment >= 0")
-        if not 0.0 < threshold <= 1.0:
-            raise ConfigError(f"threshold must be in (0, 1], got {threshold}")
-        self.distance = float(start)
-        self.increment = float(increment)
-        self.maximum = float(maximum)
-        self.threshold = float(threshold)
+    start: float = 10.0
+    increment: float = 10.0
+    maximum: float = 40.0
+    threshold: float = 0.8
 
-    def update(self, success_rate: float) -> float:
-        if success_rate >= self.threshold:
-            self.distance = min(self.distance + self.increment, self.maximum)
-        return self.distance
+    def __post_init__(self):
+        if self.start <= 0 or self.increment < 0 or self.maximum < self.start:
+            raise ConfigError("curriculum needs 0 < start <= maximum and increment >= 0")
+        if not 0.0 < self.threshold <= 1.0:
+            raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
+
+    def advance(self, distance: float, success: float) -> float:
+        """The distance after an evaluation at `distance` with this success
+        rate."""
+        if success >= self.threshold:
+            return float(min(distance + self.increment, self.maximum))
+        return distance
 
 
 @dataclass
@@ -417,7 +440,6 @@ class AuxTrainResult:
     episodes: list
     eval_history: list
     update_log: list
-    exploration_actions: np.ndarray
     gate: GateReport
     env_steps: int
 
@@ -464,15 +486,10 @@ def check_gate(logs, beta: float) -> tuple[bool, list]:
     return (not violations), violations
 
 
-def train_auxiliary(samplers, nav: SlimmableMLP, mode: str,
-                    td3_cfg: TD3Config, weights: RewardWeights,
-                    constraint: ConstraintConfig, *, depth: int = 4,
-                    rho_min: float = 0.25, seed: int = 0,
-                    total_env_steps: int = 30_000,
-                    eval_every_episodes: int = 20, eval_episodes: int = 10,
-                    gate_episodes: int = 20, gate_distance: float | None = None,
-                    curriculum: CurriculumController | None = None,
-                    actor_hidden=(32, 32), critic_hidden=(64, 64),
+def train_auxiliary(samplers, nav: SlimmableMLP, mode: str, cfg: AuxConfig,
+                    weights: RewardWeights, constraint: ConstraintConfig,
+                    curriculum: Curriculum, *, depth: int = 4,
+                    rho_min: float = 0.25,
                     goal_radius: float = DEFAULT_GOAL_RADIUS,
                     max_step: float = DEFAULT_MAX_STEP,
                     max_range: float = DEFAULT_MAX_RANGE) -> AuxTrainResult:
@@ -487,72 +504,68 @@ def train_auxiliary(samplers, nav: SlimmableMLP, mode: str,
         raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
     if not samplers:
         raise ConfigError("need at least one task sampler")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     low, high = _mode_bounds(mode, rho_min)
     state_dim = depth * OBS_WIDTH
-    agent = TD3Agent(state_dim, low, high, td3_cfg,
-                     actor_hidden=actor_hidden, critic_hidden=critic_hidden,
-                     seed=seed)
-    buffer = ReplayBuffer(td3_cfg.buffer_capacity, state_dim, agent.action_dim)
-    cur = curriculum or CurriculumController()
+    agent = TD3Agent(state_dim, low, high, cfg, actor_hidden=cfg.actor_hidden,
+                     critic_hidden=cfg.critic_hidden, seed=cfg.seed)
+    buffer = ReplayBuffer(cfg.buffer_capacity, state_dim, agent.action_dim)
+    distance = float(curriculum.start)
     episodes: list[EpisodeLog] = []
     eval_history: list[dict] = []
     update_log: list[dict] = []
-    exploration_actions: list[np.ndarray] = []
     env_steps = 0
 
     def policy(x):
-        if env_steps < td3_cfg.exploration_steps:
-            a = agent.random_action(rng)
-            exploration_actions.append(a)
-            return a
+        if env_steps < cfg.exploration_steps:
+            return agent.random_action(rng)
         return agent.noisy_act(x, rng)
 
     def sink(s, a, r, s2, done):
         nonlocal env_steps
         buffer.add(s, a, r, s2, done)
         env_steps += 1
-        if env_steps >= td3_cfg.exploration_steps and buffer.size >= td3_cfg.batch_size:
+        if env_steps >= cfg.exploration_steps and buffer.size >= cfg.batch_size:
             losses = agent.update(buffer, rng)
             update_log.append({"env_steps": env_steps,
-                               "curriculum_distance": cur.distance, **losses})
+                               "curriculum_distance": distance, **losses})
 
     episode_idx = 0
-    while env_steps < total_env_steps:
+    while env_steps < cfg.total_env_steps:
         sampler = samplers[int(rng.integers(len(samplers)))]
-        task = sampler.sample("train", cur.distance, rng)
+        task = sampler.sample("train", distance, rng)
         grid = sampler.graph.grid
         log = run_episode(grid, nav, None, mode,
                           spawn=grid.center_of(task.spawn),
                           goal=grid.center_of(task.goal),
                           weights=weights, depth=depth, rho_min=rho_min,
                           goal_radius=goal_radius, max_step=max_step,
-                          max_range=max_range, max_steps=td3_cfg.max_episode_steps,
+                          max_range=max_range, max_steps=cfg.max_episode_steps,
                           vertical_locked=sampler.graph.vertical_locked,
                           policy=policy, transition_sink=sink,
                           optimal_path=task.path)
         episodes.append(log)
         episode_idx += 1
-        if episode_idx % eval_every_episodes == 0 and env_steps >= td3_cfg.exploration_steps:
+        if episode_idx % cfg.eval_every_episodes == 0 and env_steps >= cfg.exploration_steps:
             logs = evaluate_policy(samplers, nav, agent, mode, "validation",
-                                   cur.distance, eval_episodes, rng,
+                                   distance, cfg.eval_episodes, rng,
                                    weights=weights, depth=depth, rho_min=rho_min,
                                    goal_radius=goal_radius, max_step=max_step,
                                    max_range=max_range,
-                                   max_steps=td3_cfg.max_episode_steps)
+                                   max_steps=cfg.max_episode_steps)
             success = float(np.mean([l.outcome == REACHED for l in logs]))
             eval_history.append({"env_steps": env_steps, "episode": episode_idx,
-                                 "distance": cur.distance, "success": success,
+                                 "distance": distance, "success": success,
                                  "mean_rho": float(np.mean([l.mean_rho() for l in logs]))})
-            cur.update(success)
+            distance = curriculum.advance(distance, success)
 
-    dist = gate_distance if gate_distance is not None else cur.distance
+    dist = cfg.gate_distance if cfg.gate_distance is not None else distance
     gate_logs = evaluate_policy(samplers, nav, agent, mode, "test", dist,
-                                gate_episodes, rng, weights=weights,
+                                cfg.gate_episodes, rng, weights=weights,
                                 depth=depth, rho_min=rho_min,
                                 goal_radius=goal_radius, max_step=max_step,
                                 max_range=max_range,
-                                max_steps=td3_cfg.max_episode_steps)
+                                max_steps=cfg.max_episode_steps)
     ok, violations = check_gate(gate_logs, constraint.beta)
     mean_rho = float(np.mean([l.mean_rho() for l in gate_logs]))
     pf = float(np.mean([l.mean_powers()[0] for l in gate_logs]))
@@ -564,7 +577,6 @@ def train_auxiliary(samplers, nav: SlimmableMLP, mode: str,
                       episodes=gate_logs, violations=violations)
     return AuxTrainResult(agent=agent, episodes=episodes,
                           eval_history=eval_history, update_log=update_log,
-                          exploration_actions=np.asarray(exploration_actions),
                           gate=gate, env_steps=env_steps)
 
 

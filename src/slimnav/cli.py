@@ -18,6 +18,14 @@ false for a bool field, null only where the field allows it. A VALUE that
 does not parse as JSON is a string, valid only for a string field
 (``mode``, ``out_dir``).
 
+Each field is declared once. The ``reward``, ``constraint``, ``curriculum``
+and ``aux`` sections are the `auxtrain` dataclasses `RewardWeights`,
+`ConstraintConfig`, `Curriculum` and `AuxConfig`; ``nav`` extends
+`distill.DistillConfig` and ``sensor`` extends `worldsim.SensorConfig`, each
+by the fields only the CLI reads (``nav`` also trains longer by default). A
+module's own checks therefore run when its section is built, and their
+errors name the section.
+
 Exit codes: 0 success, 2 configuration error, 3 missing/mismatched
 dependency artifact, 4 path-length constraint gate failed.
 """
@@ -37,12 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distill, pathoracle, worldsim
-from .auxtrain import (ConstraintConfig, CurriculumController, EpisodeStep,
-                       EpisodeLog, RewardWeights, TD3Config, compute_eta,
-                       format_percent, run_episode, train_auxiliary)
+from .auxtrain import (AuxConfig, ConstraintConfig, Curriculum, EpisodeStep,
+                       EpisodeLog, RewardWeights, compute_eta, format_percent,
+                       run_episode, train_auxiliary)
 from .errors import ConfigError, ConstraintViolation, DependencyError, LoadError
 from .pathoracle import TaskSampler, build_graph, partition_regions
-from .slimnet import MLPSpec, SlimMask, SlimmableMLP, active_params, load_weights, save_weights
+from .slimnet import MLPSpec, SlimMask, SlimmableMLP, load_weights, save_weights
 from .worldsim import MIN_DIMS, OBS_WIDTH, REACHED, SensorConfig, VoxelGrid
 
 # artifact file names, relative to the output directory
@@ -112,38 +120,12 @@ class OracleSection:
 
 
 @dataclass
-class NavSection:
+class NavSection(distill.DistillConfig):
     hidden: tuple[int, ...] = (128, 128)
     output_scale: float = 2.0
-    rho_min: float = 0.25
-    n_random_rhos: int = 2
-    n_random_powers: int = 2
-    batch_size: int = 64
-    lr: float = 1e-3
     max_epochs: int = 150
     patience: int = 20
-    seed: int = 0
     refine_rollouts: int = 900
-
-
-@dataclass
-class AuxSection(TD3Config):
-    actor_hidden: tuple[int, ...] = (32, 32)
-    critic_hidden: tuple[int, ...] = (64, 64)
-    seed: int = 0
-    total_env_steps: int = 30_000
-    eval_every_episodes: int = 20
-    eval_episodes: int = 10
-    gate_episodes: int = 20
-    gate_distance: float | None = 20.0
-
-
-@dataclass
-class CurriculumSection:
-    start: float = 10.0
-    increment: float = 10.0
-    maximum: float = 40.0
-    threshold: float = 0.8
 
 
 @dataclass
@@ -176,9 +158,9 @@ class ExperimentConfig:
     sensor: SensorSection = field(default_factory=SensorSection)
     oracle: OracleSection = field(default_factory=OracleSection)
     nav: NavSection = field(default_factory=NavSection)
-    aux: AuxSection = field(default_factory=AuxSection)
+    aux: AuxConfig = field(default_factory=AuxConfig)
     reward: RewardWeights = field(default_factory=RewardWeights)
-    curriculum: CurriculumSection = field(default_factory=CurriculumSection)
+    curriculum: Curriculum = field(default_factory=Curriculum)
     constraint: ConstraintConfig = field(default_factory=ConstraintConfig)
     eval: EvalSection = field(default_factory=EvalSection)
     bench: BenchSection = field(default_factory=BenchSection)
@@ -250,8 +232,6 @@ class ExperimentConfig:
             raise ConfigError(f"oracle.crowd_boost must be a positive integer, "
                               f"got {o.crowd_boost}")
         self.nav_spec()
-        self.distill_config()
-        self.curriculum_controller()
         e = self.eval
         if not e.buckets or e.episodes_per_bucket < 1:
             raise ConfigError("eval.buckets must be non-empty with positive episodes")
@@ -261,24 +241,10 @@ class ExperimentConfig:
         if not b.sizes or b.n_observations < 1 or b.repeats < 1:
             raise ConfigError("bench needs sizes, observations, and repeats")
 
-    # adapters to module-level objects whose fields differ from a section's
-
     def nav_spec(self) -> MLPSpec:
         return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH, q=self.nav.hidden,
                        v=3, output_activation="tanh",
                        output_scale=self.nav.output_scale)
-
-    def distill_config(self) -> distill.DistillConfig:
-        n = self.nav
-        return distill.DistillConfig(
-            rho_min=n.rho_min, n_random_rhos=n.n_random_rhos,
-            n_random_powers=n.n_random_powers, batch_size=n.batch_size,
-            lr=n.lr, max_epochs=n.max_epochs, patience=n.patience, seed=n.seed)
-
-    def curriculum_controller(self) -> CurriculumController:
-        c = self.curriculum
-        return CurriculumController(start=c.start, increment=c.increment,
-                                    maximum=c.maximum, threshold=c.threshold)
 
 
 def _section(name: str, cls, values):
@@ -389,6 +355,23 @@ def _check_hash(path: str, found: str, expected: str) -> None:
             f"current config is {expected}; regenerate it")
 
 
+def _load(cfg: ExperimentConfig, name: str, producer: str, loader):
+    """The artifact `name` read by `loader(path) -> (object, config hash)`;
+    refuses a missing artifact or one built from another configuration."""
+    path = _require(cfg, name, producer)
+    obj, found = loader(path)
+    _check_hash(path, found, cfg.config_hash())
+    return obj
+
+
+def _load_nav(cfg: ExperimentConfig) -> SlimmableMLP:
+    net = _load(cfg, NAV_WEIGHTS_FILE, "train-nav", load_weights)
+    if net.spec != cfg.nav_spec():
+        raise DependencyError(f"{_artifact(cfg, NAV_WEIGHTS_FILE)} holds a "
+                              f"different network shape; rerun train-nav")
+    return net
+
+
 def write_csv(path: str, header: str, rows, config_hash: str) -> None:
     lines = [f"# config={config_hash}", header]
     lines.extend(rows)
@@ -429,13 +412,6 @@ def cmd_gen_world(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_world(cfg: ExperimentConfig) -> VoxelGrid:
-    path = _require(cfg, WORLD_FILE, "gen-world")
-    grid, found = worldsim.load_world(path)
-    _check_hash(path, found, cfg.config_hash())
-    return grid
-
-
 def _build_sampler(cfg: ExperimentConfig, grid: VoxelGrid) -> TaskSampler:
     graph = build_graph(grid, vertical_locked=cfg.world.vertical_locked)
     regions = partition_regions(grid, cfg.oracle.region_fractions)
@@ -443,19 +419,27 @@ def _build_sampler(cfg: ExperimentConfig, grid: VoxelGrid) -> TaskSampler:
     return TaskSampler(graph, regions, flight_z=flight_z)
 
 
+def _draw_tasks(sampler: TaskSampler, region: str, distances, n: int,
+                max_draws: int, rng, tolerance: float) -> list:
+    """Up to `n` tasks in `region`, cycling through `distances`, from at most
+    `max_draws` draws; a draw the region cannot supply is skipped."""
+    tasks = []
+    for i in range(max_draws):
+        if len(tasks) == n:
+            break
+        d = float(distances[i % len(distances)])
+        try:
+            tasks.append(sampler.sample(region, d, rng, tolerance=tolerance))
+        except ConfigError:
+            continue
+    return tasks
+
+
 def _sample_tasks(cfg: ExperimentConfig, sampler: TaskSampler, region: str,
                   n: int, rng) -> list:
     o = cfg.oracle
-    tasks = []
-    attempts = 0
-    while len(tasks) < n and attempts < 4 * n:
-        d = o.distances[attempts % len(o.distances)]
-        attempts += 1
-        try:
-            tasks.append(sampler.sample(region, float(d), rng,
-                                        tolerance=o.sample_tolerance))
-        except ConfigError:
-            continue
+    tasks = _draw_tasks(sampler, region, o.distances, n, 4 * n, rng,
+                        o.sample_tolerance)
     if not tasks:
         raise ConfigError(f"could not sample any tasks in region {region!r}")
     return tasks
@@ -475,7 +459,7 @@ def _supervision_paths(cfg: ExperimentConfig, sampler: TaskSampler,
 
 def cmd_oracle(cfg: ExperimentConfig) -> int:
     write_config_copy(cfg)
-    grid = _load_world(cfg)
+    grid = _load(cfg, WORLD_FILE, "gen-world", worldsim.load_world)
     sampler = _build_sampler(cfg, grid)
     o = cfg.oracle
     rng = np.random.default_rng(o.seed)
@@ -499,28 +483,21 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_dataset(cfg: ExperimentConfig, region: str, producer: str = "oracle"):
-    path = _require(cfg, DATA_FILES[region], producer)
-    ds, found = pathoracle.load_dataset(path)
-    _check_hash(path, found, cfg.config_hash())
-    return ds
-
-
 def cmd_train_nav(cfg: ExperimentConfig) -> int:
     write_config_copy(cfg)
-    train_ds = _load_dataset(cfg, "train")
-    val_ds = _load_dataset(cfg, "validation")
+    train_ds = _load(cfg, DATA_FILES["train"], "oracle", pathoracle.load_dataset)
+    val_ds = _load(cfg, DATA_FILES["validation"], "oracle",
+                   pathoracle.load_dataset)
     spec = cfg.nav_spec()
     layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
     t0 = time.time()
-    net, report = distill.train_navigation(train_ds, val_ds, spec,
-                                           cfg.distill_config(),
+    net, report = distill.train_navigation(train_ds, val_ds, spec, cfg.nav,
                                            mode=cfg.mode, layout=layout)
     reports = [report]
     if cfg.nav.refine_rollouts > 0:
         # one round of on-policy relabeling: fly the freshly trained net,
         # label the states it actually visits, retrain on the union
-        grid = _load_world(cfg)
+        grid = _load(cfg, WORLD_FILE, "gen-world", worldsim.load_world)
         sampler = _build_sampler(cfg, grid)
         rng = np.random.default_rng(cfg.nav.seed + 31)
         tasks = _sample_tasks(cfg, sampler, "train",
@@ -532,8 +509,7 @@ def cmd_train_nav(cfg: ExperimentConfig) -> int:
             clearance_weight=cfg.oracle.clearance_weight,
             crowd_boost=cfg.oracle.crowd_boost)
         union = pathoracle.merge_datasets(train_ds, rollout_ds)
-        net, report = distill.train_navigation(union, val_ds, spec,
-                                               cfg.distill_config(),
+        net, report = distill.train_navigation(union, val_ds, spec, cfg.nav,
                                                mode=cfg.mode, layout=layout)
         reports.append(report)
     save_weights(net, _artifact(cfg, NAV_WEIGHTS_FILE),
@@ -548,16 +524,6 @@ def cmd_train_nav(cfg: ExperimentConfig) -> int:
           f"val loss {report.val_losses[report.best_epoch - 1]:.6f}, "
           f"{time.time() - t0:.0f}s")
     return 0
-
-
-def _load_nav(cfg: ExperimentConfig) -> SlimmableMLP:
-    path = _require(cfg, NAV_WEIGHTS_FILE, "train-nav")
-    net, found = load_weights(path)
-    _check_hash(path, found, cfg.config_hash())
-    if net.spec != cfg.nav_spec():
-        raise DependencyError(f"{path} holds a different network shape; "
-                              f"rerun train-nav")
-    return net
 
 
 def _episode_rows(logs, start_id: int = 0):
@@ -597,21 +563,13 @@ def _logs_from_rows(rows) -> list[EpisodeLog]:
 
 def cmd_train_aux(cfg: ExperimentConfig) -> int:
     write_config_copy(cfg)
-    grid = _load_world(cfg)
+    grid = _load(cfg, WORLD_FILE, "gen-world", worldsim.load_world)
     nav = _load_nav(cfg)
     sampler = _build_sampler(cfg, grid)
-    a = cfg.aux
     t0 = time.time()
     result = train_auxiliary(
         [sampler], nav, cfg.mode, cfg.aux, cfg.reward, cfg.constraint,
-        depth=cfg.sensor.fifo_depth,
-        rho_min=cfg.nav.rho_min, seed=a.seed,
-        total_env_steps=a.total_env_steps,
-        eval_every_episodes=a.eval_every_episodes,
-        eval_episodes=a.eval_episodes, gate_episodes=a.gate_episodes,
-        gate_distance=a.gate_distance,
-        curriculum=cfg.curriculum_controller(),
-        actor_hidden=a.actor_hidden, critic_hidden=a.critic_hidden,
+        cfg.curriculum, depth=cfg.sensor.fifo_depth, rho_min=cfg.nav.rho_min,
         goal_radius=cfg.world.goal_radius, max_step=cfg.world.max_step,
         max_range=cfg.sensor.max_range)
     chash = cfg.config_hash()
@@ -649,16 +607,9 @@ def cmd_train_aux(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _load_aux_actor(cfg: ExperimentConfig) -> SlimmableMLP:
-    path = _require(cfg, AUX_ACTOR_FILE, "train-aux")
-    net, found = load_weights(path)
-    _check_hash(path, found, cfg.config_hash())
-    return net
-
-
 def cmd_eval(cfg: ExperimentConfig) -> int:
     write_config_copy(cfg)
-    grid = _load_world(cfg)
+    grid = _load(cfg, WORLD_FILE, "gen-world", worldsim.load_world)
     nav = _load_nav(cfg)
     sampler = _build_sampler(cfg, grid)
     e = cfg.eval
@@ -668,15 +619,8 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     # success vs distance at full width (no adaptation)
     rows = []
     for d in e.buckets:
-        tasks = []
-        attempts = 0
-        while len(tasks) < e.episodes_per_bucket and attempts < 20 * e.episodes_per_bucket:
-            attempts += 1
-            try:
-                tasks.append(sampler.sample("test", float(d), rng,
-                                            tolerance=e.sample_tolerance))
-            except ConfigError:
-                continue
+        tasks = _draw_tasks(sampler, "test", [d], e.episodes_per_bucket,
+                            20 * e.episodes_per_bucket, rng, e.sample_tolerance)
         rep = distill.evaluate_navigation(
             nav, grid, tasks, mode=cfg.mode, rho=1.0,
             depth=cfg.sensor.fifo_depth,
@@ -692,7 +636,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
               "distance,episodes,success_rate,mean_length_ratio", rows, chash)
 
     # error grid on the held-out dataset
-    test_ds = _load_dataset(cfg, "test")
+    test_ds = _load(cfg, DATA_FILES["test"], "oracle", pathoracle.load_dataset)
     layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
     rows = []
     if cfg.mode == "C":
@@ -707,28 +651,24 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     write_csv(_artifact(cfg, EVAL_RMSE_FILE), header, rows, chash)
 
     # adaptation episodes with the trained auxiliary policy
-    actor = _load_aux_actor(cfg)
-    logs = []
-    for _ in range(e.adapt_episodes):
-        try:
-            task = sampler.sample("test", e.adapt_distance, rng,
-                                  tolerance=e.sample_tolerance)
-        except ConfigError:
-            continue
-        log = run_episode(grid, nav, None, cfg.mode,
-                          spawn=grid.center_of(task.spawn),
-                          goal=grid.center_of(task.goal),
-                          weights=cfg.reward,
-                          depth=cfg.sensor.fifo_depth,
-                          rho_min=cfg.nav.rho_min,
-                          goal_radius=cfg.world.goal_radius,
-                          max_step=cfg.world.max_step,
-                          max_range=cfg.sensor.max_range,
-                          max_steps=cfg.aux.max_episode_steps,
-                          vertical_locked=cfg.world.vertical_locked,
-                          policy=lambda x: actor.forward(x),
-                          optimal_path=task.path)
-        logs.append(log)
+    actor = _load(cfg, AUX_ACTOR_FILE, "train-aux", load_weights)
+    # run_episode draws no random numbers, so the tasks are drawn up front
+    tasks = _draw_tasks(sampler, "test", [e.adapt_distance], e.adapt_episodes,
+                        e.adapt_episodes, rng, e.sample_tolerance)
+    logs = [run_episode(grid, nav, None, cfg.mode,
+                        spawn=grid.center_of(task.spawn),
+                        goal=grid.center_of(task.goal),
+                        weights=cfg.reward,
+                        depth=cfg.sensor.fifo_depth,
+                        rho_min=cfg.nav.rho_min,
+                        goal_radius=cfg.world.goal_radius,
+                        max_step=cfg.world.max_step,
+                        max_range=cfg.sensor.max_range,
+                        max_steps=cfg.aux.max_episode_steps,
+                        vertical_locked=cfg.world.vertical_locked,
+                        policy=actor.forward,
+                        optimal_path=task.path)
+            for task in tasks]
     write_csv(_artifact(cfg, EVAL_EPISODES_FILE), EPISODE_COLUMNS,
               _episode_rows(logs), chash)
     n_ok = sum(1 for l in logs if l.outcome == REACHED)
@@ -741,50 +681,46 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     chash = cfg.config_hash()
     nav = _load_nav(cfg)
 
-    # success vs distance (straight copy, keeps episode counts)
-    _, rows = read_csv(_require(cfg, EVAL_SUCCESS_FILE, "eval"), chash)
-    out = [",".join(r) for r in rows]
-    write_csv(_artifact(cfg, REPORT_FILES["success"]),
-              "distance,episodes,success_rate,mean_length_ratio", out, chash)
+    def copy_csv(src: str, table: str) -> None:
+        header, rows = read_csv(src, chash)
+        write_csv(_artifact(cfg, REPORT_FILES[table]), ",".join(header),
+                  [",".join(r) for r in rows], chash)
 
-    # error grid
-    header, rows = read_csv(_require(cfg, EVAL_RMSE_FILE, "eval"), chash)
-    write_csv(_artifact(cfg, REPORT_FILES["rmse"]), ",".join(header),
-              [",".join(r) for r in rows], chash)
+    # success vs distance and the error grid are straight copies
+    copy_csv(_require(cfg, EVAL_SUCCESS_FILE, "eval"), "success")
+    copy_csv(_require(cfg, EVAL_RMSE_FILE, "eval"), "rmse")
 
     # adaptation tables need the episode logs
     _, ep_rows = read_csv(_require(cfg, EVAL_EPISODES_FILE, "eval"), chash)
     logs = _logs_from_rows(ep_rows)
     ok_logs = [l for l in logs if l.outcome == REACHED]
 
-    # heatmap of mean adaptation per map cell (successful episodes only)
+    def group_means(key) -> list:
+        """Per key of a step, in key order: the key, the step count and the
+        mean rho, p_f and p_d over the successful episodes' steps."""
+        groups: dict = {}
+        for log in ok_logs:
+            for s in log.steps:
+                groups.setdefault(key(s), []).append((s.rho, s.p_f, s.p_d))
+        out = []
+        for k in sorted(groups):
+            vals = np.asarray(groups[k], dtype=float)
+            means = ",".join(_fmt(vals[:, i].mean()) for i in range(3))
+            out.append((k, f"{len(vals)},{means}"))
+        return out
+
+    # heatmap of mean adaptation per map cell
     bin_m = cfg.eval.heatmap_bin * cfg.world.resolution
-    cells: dict[tuple[int, int], list] = {}
-    for log in ok_logs:
-        for s in log.steps:
-            key = (int(s.position[0] // bin_m), int(s.position[1] // bin_m))
-            cells.setdefault(key, []).append((s.rho, s.p_f, s.p_d))
-    rows = []
-    for (bx, by) in sorted(cells):
-        vals = np.asarray(cells[(bx, by)], dtype=float)
-        rows.append(f"{bx},{by},{len(vals)},{_fmt(vals[:, 0].mean())},"
-                    f"{_fmt(vals[:, 1].mean())},{_fmt(vals[:, 2].mean())}")
+    rows = [f"{bx},{by},{stats}" for (bx, by), stats in group_means(
+        lambda s: (int(s.position[0] // bin_m), int(s.position[1] // bin_m)))]
     write_csv(_artifact(cfg, REPORT_FILES["heatmap"]),
               "x_bin,y_bin,steps,mean_rho,mean_p_f,mean_p_d", rows, chash)
 
     # adaptation vs forward clutter (normalized mean depth bins)
     width = cfg.eval.depth_bin_width
-    bins: dict[int, list] = {}
-    for log in ok_logs:
-        for s in log.steps:
-            bins.setdefault(int(s.mean_forward_depth / width), []).append(
-                (s.rho, s.p_f, s.p_d))
-    rows = []
-    for b in sorted(bins):
-        vals = np.asarray(bins[b], dtype=float)
-        rows.append(f"{_fmt(b * width)},{_fmt((b + 1) * width)},{len(vals)},"
-                    f"{_fmt(vals[:, 0].mean())},{_fmt(vals[:, 1].mean())},"
-                    f"{_fmt(vals[:, 2].mean())}")
+    rows = [f"{_fmt(b * width)},{_fmt((b + 1) * width)},{stats}"
+            for b, stats in group_means(
+                lambda s: int(s.mean_forward_depth / width))]
     write_csv(_artifact(cfg, REPORT_FILES["depth_bins"]),
               "depth_lo,depth_hi,steps,mean_rho,mean_p_f,mean_p_d", rows, chash)
 
@@ -801,11 +737,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
               [summary], chash)
 
     # timing table mirrors the benchmark artifact when present
-    bench_path = _artifact(cfg, BENCH_FILE)
-    if os.path.exists(bench_path):
-        header, rows = read_csv(bench_path, chash)
-        write_csv(_artifact(cfg, REPORT_FILES["timing"]), ",".join(header),
-                  [",".join(r) for r in rows], chash)
+    if os.path.exists(_artifact(cfg, BENCH_FILE)):
+        copy_csv(_artifact(cfg, BENCH_FILE), "timing")
     print(f"report bundle written to {cfg.out_dir}")
     return 0
 
@@ -813,10 +746,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 def _bench_policy_rhos(cfg: ExperimentConfig, obs: np.ndarray) -> np.ndarray:
     """Slimming factors the benchmark runs at: the trained auxiliary actor's
     outputs when its weights exist, otherwise a fresh seeded actor."""
-    actor_path = _artifact(cfg, AUX_ACTOR_FILE)
-    if os.path.exists(actor_path):
-        actor, found = load_weights(actor_path)
-        _check_hash(actor_path, found, cfg.config_hash())
+    if os.path.exists(_artifact(cfg, AUX_ACTOR_FILE)):
+        actor = _load(cfg, AUX_ACTOR_FILE, "train-aux", load_weights)
     else:
         spec = MLPSpec(u=obs.shape[1], q=cfg.bench.aux_hidden, v=1,
                        output_activation="bounded",

@@ -4,11 +4,15 @@ Each batch follows the sandwich scheme: one pass at the full configuration
 against the hard expert targets, whose outputs are recorded as constant soft
 targets; then passes at the minimal and at randomly drawn intermediate
 configurations against those soft targets. All gradients are summed into a
-single optimizer step."""
+single optimizer step. Mode C draws the intermediate configurations as
+slimming factors, mode S as sensor power pairs realised as input masks.
+
+`DistillConfig` is also the ``nav`` section of the CLI configuration, which
+adds the network shape and the rollout count to it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,6 @@ class DistillConfig:
     max_epochs: int = 60
     patience: int = 8
     seed: int = 0
-    distill: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.rho_min <= 1.0:
@@ -54,26 +57,39 @@ def _mse(y: np.ndarray, t: np.ndarray) -> float:
     return float(np.mean((y - t) ** 2))
 
 
+def _power_mask(net: SlimmableMLP, p_f: int, p_d: int,
+                layout: ObservationLayout) -> SlimMask:
+    """Full width with only the rays of power levels (p_f, p_d) as inputs."""
+    return SlimMask(net.spec, 1.0,
+                    active_inputs=input_mask_from_power(p_f, p_d, layout))
+
+
+def _sandwich(net: SlimmableMLP, x: np.ndarray, targets: np.ndarray,
+              masks) -> tuple[Grads, float]:
+    """The first mask's pass against the hard targets, whose outputs become
+    the soft targets (recorded as constants, no gradient flows through
+    them); every further mask's pass against the soft targets. Returns the
+    summed gradients and the hard-target loss."""
+    y, cache = net.forward(x, masks[0], return_cache=True)
+    hard_loss = _mse(y, targets)
+    grads = net.backward(cache, _mse_grad(y, targets))
+    soft = y.copy()
+    for mask in masks[1:]:
+        y, cache = net.forward(x, mask, return_cache=True)
+        grads.add_(net.backward(cache, _mse_grad(y, soft)))
+    return grads, hard_loss
+
+
 def supervised_distillation_C(net: SlimmableMLP, x: np.ndarray,
                               targets: np.ndarray, cfg: DistillConfig,
                               rng) -> tuple[Grads, float]:
-    """Sandwich gradients for one batch in compute mode.
-
-    Pass 1: full width vs hard targets; its outputs become the soft targets
-    (recorded as constants, no gradient flows through them). Pass 2: rho_min
-    vs soft. Passes 3..: n_random_rhos draws from U(rho_min, 1) vs soft.
-    Returns the summed gradients and the hard-target loss.
-    """
-    y_full, cache = net.forward(x, return_cache=True)
-    hard_loss = _mse(y_full, targets)
-    grads = net.backward(cache, _mse_grad(y_full, targets))
-    soft = y_full.copy()
+    """Sandwich gradients for one batch in compute mode: full width vs hard
+    targets, then rho_min and n_random_rhos draws from U(rho_min, 1) vs the
+    soft targets."""
     rhos = [cfg.rho_min] + [float(rng.uniform(cfg.rho_min, 1.0))
                             for _ in range(cfg.n_random_rhos)]
-    for rho in rhos:
-        y, cache = net.forward(x, SlimMask(net.spec, rho), return_cache=True)
-        grads.add_(net.backward(cache, _mse_grad(y, soft)))
-    return grads, hard_loss
+    return _sandwich(net, x, targets,
+                     [None] + [SlimMask(net.spec, rho) for rho in rhos])
 
 
 def supervised_distillation_S(net: SlimmableMLP, x: np.ndarray,
@@ -82,21 +98,11 @@ def supervised_distillation_S(net: SlimmableMLP, x: np.ndarray,
     """Sandwich gradients for one batch in sensing mode: full power levels
     vs hard targets, then minimal (1, 0) and random power pairs vs the soft
     targets, each realized as an input mask at full width."""
-    full_mask = SlimMask(net.spec, 1.0,
-                         active_inputs=input_mask_from_power(*POWER_MAX, layout))
-    y_full, cache = net.forward(x, full_mask, return_cache=True)
-    hard_loss = _mse(y_full, targets)
-    grads = net.backward(cache, _mse_grad(y_full, targets))
-    soft = y_full.copy()
-    combos = [POWER_MIN] + [(int(rng.choice(FORWARD_CHOICES)),
-                             int(rng.choice(DOWNWARD_CHOICES)))
-                            for _ in range(cfg.n_random_powers)]
-    for p_f, p_d in combos:
-        mask = SlimMask(net.spec, 1.0,
-                        active_inputs=input_mask_from_power(p_f, p_d, layout))
-        y, cache = net.forward(x, mask, return_cache=True)
-        grads.add_(net.backward(cache, _mse_grad(y, soft)))
-    return grads, hard_loss
+    combos = [POWER_MAX, POWER_MIN] + [(int(rng.choice(FORWARD_CHOICES)),
+                                        int(rng.choice(DOWNWARD_CHOICES)))
+                                       for _ in range(cfg.n_random_powers)]
+    return _sandwich(net, x, targets,
+                     [_power_mask(net, p_f, p_d, layout) for p_f, p_d in combos])
 
 
 @dataclass
@@ -105,29 +111,17 @@ class TrainReport:
     val_losses: list
     best_epoch: int
     stopped_epoch: int
-    rmse_by_rho: dict = field(default_factory=dict)
-    rmse_by_power: dict = field(default_factory=dict)
     seed: int = 0
 
 
-def _full_mask_for(net: SlimmableMLP, mode: str, layout: ObservationLayout | None):
-    if mode == "S":
-        return SlimMask(net.spec, 1.0,
-                        active_inputs=input_mask_from_power(*POWER_MAX, layout))
-    return SlimMask(net.spec)
-
-
 def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
-                     mode: str = "C", layout: ObservationLayout | None = None,
-                     test_ds=None) -> tuple[SlimmableMLP, TrainReport]:
+                     mode: str = "C", layout: ObservationLayout | None = None
+                     ) -> tuple[SlimmableMLP, TrainReport]:
     """Distillation-train a navigation network.
 
     Shuffled minibatches, one Adam step per batch on the summed sandwich
     gradients. Early stopping tracks validation MSE at the full
     configuration with the given patience and restores the best snapshot.
-    With ``cfg.distill`` false the sandwich is skipped and every batch takes
-    a single full-configuration step against the hard targets; the result
-    serves as the untrained-at-width control for slimming comparisons.
     """
     if mode not in ("C", "S"):
         raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
@@ -140,7 +134,8 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
     rng = np.random.default_rng(cfg.seed)
     x_train, y_train = train_ds.fifo_vectors, train_ds.targets
     x_val, y_val = val_ds.fifo_vectors, val_ds.targets
-    full_mask = _full_mask_for(net, mode, layout)
+    full_mask = (_power_mask(net, *POWER_MAX, layout) if mode == "S"
+                 else SlimMask(net.spec))
 
     best_val = float("inf")
     best_epoch = 0
@@ -153,11 +148,7 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            if not cfg.distill:
-                y, cache = net.forward(xb, full_mask, return_cache=True)
-                loss = _mse(y, yb)
-                grads = net.backward(cache, _mse_grad(y, yb))
-            elif mode == "C":
+            if mode == "C":
                 grads, loss = supervised_distillation_C(net, xb, yb, cfg, rng)
             else:
                 grads, loss = supervised_distillation_S(net, xb, yb, cfg, rng, layout)
@@ -174,15 +165,9 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
             break
     if best_weights is not None:
         net.params[:] = best_weights
-    report = TrainReport(train_losses=train_losses, val_losses=val_losses,
-                         best_epoch=best_epoch, stopped_epoch=stopped,
-                         seed=cfg.seed)
-    if test_ds is not None:
-        if mode == "C":
-            report.rmse_by_rho = rmse_by_rho(net, test_ds)
-        else:
-            report.rmse_by_power = rmse_by_power(net, test_ds, layout)
-    return net, report
+    return net, TrainReport(train_losses=train_losses, val_losses=val_losses,
+                            best_epoch=best_epoch, stopped_epoch=stopped,
+                            seed=cfg.seed)
 
 
 def rmse_on_dataset(net: SlimmableMLP, ds, mask: SlimMask | None = None) -> float:
@@ -196,12 +181,8 @@ def rmse_by_rho(net: SlimmableMLP, ds, rhos=(0.25, 0.5, 0.75, 1.0)) -> dict:
 
 def rmse_by_power(net: SlimmableMLP, ds, layout: ObservationLayout,
                   combos=((1, 0), (2, 1), (3, 2), (3, 3))) -> dict:
-    out = {}
-    for p_f, p_d in combos:
-        mask = SlimMask(net.spec, 1.0,
-                        active_inputs=input_mask_from_power(p_f, p_d, layout))
-        out[(p_f, p_d)] = rmse_on_dataset(net, ds, mask)
-    return out
+    return {(p_f, p_d): rmse_on_dataset(net, ds, _power_mask(net, p_f, p_d, layout))
+            for p_f, p_d in combos}
 
 
 @dataclass

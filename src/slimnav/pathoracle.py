@@ -21,6 +21,9 @@ SQRT2 = math.sqrt(2.0)
 
 REGION_NAMES = ("train", "validation", "test")
 
+# spawn draws a TaskSampler makes before it gives up on a task
+SAMPLE_TRIES = 60
+
 DATASET_MAGIC = "NAVIDATA v1"
 
 # 8-connected horizontal moves plus straight up/down when vertical is unlocked
@@ -99,7 +102,6 @@ def build_graph(grid: VoxelGrid, vertical_locked: bool = False) -> MapGraph:
 class OptimalPath:
     waypoints: list
     length: float
-    region: str = ""
     expanded: int = 0
 
     @property
@@ -191,8 +193,7 @@ class Region:
     x_hi: int
 
 
-def partition_regions(grid: VoxelGrid, fractions,
-                      min_pair_distance: float = 0.0) -> tuple[Region, ...]:
+def partition_regions(grid: VoxelGrid, fractions) -> tuple[Region, ...]:
     """Split the map into train/validation/test slabs along x.
 
     fractions must be three positive numbers summing to 1.
@@ -215,14 +216,6 @@ def partition_regions(grid: VoxelGrid, fractions,
     for name, lo, hi in zip(REGION_NAMES, edges[:-1], edges[1:]):
         if hi - lo < 2:
             raise ConfigError(f"region {name!r} slab [{lo},{hi}) is too narrow")
-        extent = (hi - lo) * grid.resolution
-        if min_pair_distance > 0.0 and extent < min_pair_distance and name == "test":
-            # the slab must at least diagonally host the requested separation
-            diag = math.hypot(extent, (grid.dims[1] - 2) * grid.resolution)
-            if diag < min_pair_distance:
-                raise ConfigError(
-                    f"region {name!r} extent {extent:.1f} m cannot host "
-                    f"pairs {min_pair_distance:.1f} m apart")
         regions.append(Region(name=name, x_lo=lo, x_hi=hi))
     return tuple(regions)
 
@@ -260,20 +253,17 @@ class TaskSampler:
             ids[:, 0] += r.x_lo
             self._verts[r.name] = ids
 
-    def vertices(self, region: str) -> np.ndarray:
-        return self._verts[region]
-
     def sample(self, region: str, distance: float, rng,
-               tolerance: float = 0.3, max_tries: int = 60) -> Task:
+               tolerance: float = 0.3) -> Task:
         """Random task whose spawn-goal separation is within
         distance * (1 +- tolerance). Raises ConfigError when the region
-        cannot supply one."""
+        cannot supply one in SAMPLE_TRIES spawn draws."""
         verts = self._verts[region]
         if len(verts) < 2:
             raise ConfigError(f"region {region!r} has too few free vertices")
         res = self.graph.grid.resolution
         lo, hi = distance * (1 - tolerance), distance * (1 + tolerance)
-        for _ in range(max_tries):
+        for _ in range(SAMPLE_TRIES):
             s = verts[int(rng.integers(len(verts)))]
             d = np.linalg.norm((verts - s).astype(float), axis=1) * res
             cand = np.flatnonzero((d >= lo) & (d <= hi))
@@ -284,12 +274,11 @@ class TaskSampler:
                 path = astar(self.graph, tuple(s), tuple(gidx))
             except NoPathError:
                 continue
-            path.region = region
             return Task(spawn=tuple(int(c) for c in s),
                         goal=tuple(int(c) for c in gidx), path=path, region=region)
         raise ConfigError(
             f"could not sample a {distance:.0f} m task in region {region!r} "
-            f"after {max_tries} tries")
+            f"after {SAMPLE_TRIES} tries")
 
 
 @dataclass

@@ -335,7 +335,9 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
     time. Work and memory are bounded by the crossings the farthest-reaching
     ray of the call makes before it leaves the grid or passes `max_range`:
     at most `sum(dims)` per ray. A direction component so small that its
-    reciprocal overflows counts as zero.
+    reciprocal overflows counts as zero, and a direction whose norm under-
+    or overflows is divided by its largest |component| before it is
+    normalised.
 
     Raises SensorError if the origin sits inside an occupied voxel, and
     ValueError for a zero or non-finite direction or a NaN max_range.
@@ -344,9 +346,16 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
     if grid.occupied_at(origin):
         raise SensorError(f"ray origin {origin.tolist()} is inside an occupied voxel")
-    norms = np.linalg.norm(dirs, axis=1)
-    if not np.all(np.isfinite(norms) & (norms > 0)):
-        raise ValueError("ray direction must be nonzero and finite")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(dirs, axis=1)
+    odd = ~(np.isfinite(norms) & (norms > 0))
+    if odd.any():
+        big = np.abs(dirs[odd]).max(axis=1)
+        if not np.all(np.isfinite(dirs[odd]).all(axis=1) & (big > 0)):
+            raise ValueError("ray direction must be nonzero and finite")
+        dirs = dirs.copy()
+        dirs[odd] /= big[:, None]
+        norms[odd] = np.linalg.norm(dirs[odd], axis=1)
     if math.isnan(max_range):
         raise ValueError("max_range must be a number")
     dirs = dirs / norms[:, None]

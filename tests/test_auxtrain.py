@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from slimnav import pathoracle, worldsim
-from slimnav.auxtrain import (CurriculumController, EpisodeLog, EpisodeStep,
+from slimnav.auxtrain import (AuxConfig, Curriculum, EpisodeLog, EpisodeStep,
                               ReplayBuffer, RewardWeights, TD3Agent, TD3Config,
                               check_gate, compute_eta, format_percent,
                               reward, run_episode, train_auxiliary,
@@ -183,16 +183,17 @@ def test_td3_learns_toy_task_one_seed():
 
 def test_curriculum_controller():
     with pytest.raises(ConfigError):
-        CurriculumController(start=0.0)
+        Curriculum(start=0.0)
     with pytest.raises(ConfigError):
-        CurriculumController(threshold=0.0)
-    cur = CurriculumController(start=10, increment=10, maximum=40, threshold=0.8)
-    assert cur.update(0.5) == 10.0          # below threshold: stays
-    assert cur.update(0.8) == 20.0          # exactly at threshold: advances
-    assert cur.update(1.0) == 30.0
-    assert cur.update(1.0) == 40.0
-    assert cur.update(1.0) == 40.0          # capped
-    assert cur.update(0.0) == 40.0          # never decreases
+        Curriculum(threshold=0.0)
+    cur = Curriculum(start=10, increment=10, maximum=40, threshold=0.8)
+    assert cur.advance(10.0, 0.5) == 10.0   # below threshold: stays
+    assert cur.advance(10.0, 0.8) == 20.0   # exactly at threshold: advances
+    assert cur.advance(30.0, 1.0) == 40.0
+    assert cur.advance(40.0, 1.0) == 40.0   # capped
+    assert cur.advance(40.0, 0.0) == 40.0   # never decreases
+    # integer settings still give float distances
+    assert type(cur.advance(35.0, 1.0)) is float
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +368,20 @@ def test_train_auxiliary_smoke():
     nav = SlimmableMLP(MLPSpec(u=4 * OBS_WIDTH, q=(16, 8), v=3,
                                output_activation="tanh", output_scale=2.0),
                        seed=0)
-    cfg = TD3Config(batch_size=32, exploration_steps=150,
-                    buffer_capacity=5000, max_episode_steps=25)
+    cfg = AuxConfig(batch_size=32, exploration_steps=150,
+                    buffer_capacity=5000, max_episode_steps=25, seed=0,
+                    total_env_steps=260, eval_every_episodes=8,
+                    eval_episodes=2, gate_episodes=3, gate_distance=6.0,
+                    actor_hidden=(8,), critic_hidden=(8,))
     res = train_auxiliary([sampler], nav, "C", cfg, RewardWeights(),
-                          ConstraintConfig(), seed=0, total_env_steps=260,
-                          eval_every_episodes=8, eval_episodes=2,
-                          gate_episodes=3, gate_distance=6.0,
-                          curriculum=CurriculumController(start=6.0, maximum=6.0),
-                          actor_hidden=(8,), critic_hidden=(8,))
+                          ConstraintConfig(),
+                          Curriculum(start=6.0, maximum=6.0))
     assert res.env_steps >= 260
-    assert res.exploration_actions.shape[1] == 1
-    assert np.all(res.exploration_actions >= 0.25 - 1e-12)
-    assert np.all(res.exploration_actions <= 1.0 + 1e-12)
+    # exploration draws rho from the mode-C action box
+    rng = np.random.default_rng(0)
+    draws = np.array([res.agent.random_action(rng) for _ in range(200)])
+    assert draws.shape == (200, 1)
+    assert np.all(draws >= 0.25) and np.all(draws <= 1.0)
     assert len(res.update_log) > 0
     assert res.gate.episodes and len(res.gate.episodes) == 3
     # an untrained navigation network cannot pass the gate; the failure is

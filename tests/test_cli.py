@@ -120,6 +120,11 @@ def test_from_dict_converts_lists_to_tuples():
     {"constraint": {"beta": 0.5}},
     # smaller than worldsim.MIN_DIMS
     {"world": {"dims": [8, 8, 8]}},
+    # checks of the module dataclasses the nav and curriculum sections are
+    {"nav": {"rho_min": 0.0}},
+    {"nav": {"patience": 0}},
+    {"curriculum": {"threshold": 0.0}},
+    {"curriculum": {"start": 50.0}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
@@ -547,11 +552,17 @@ def test_pipeline_report_summary(mini_c):
 def test_pipeline_report_idempotent(mini_c):
     cfg, _, cfg_path = mini_c
     paths = [os.path.join(cfg.out_dir, n) for n in REPORT_FILES.values()]
-    before = {p: open(p, "rb").read() for p in paths if os.path.exists(p)}
+
+    def contents():
+        out = {}
+        for p in paths:
+            with open(p, "rb") as f:
+                out[p] = f.read()
+        return out
+
+    before = contents()
     assert cli.main(["report", "--config", cfg_path]) == 0
-    for p, blob in before.items():
-        with open(p, "rb") as f:
-            assert f.read() == blob
+    assert contents() == before
 
 
 # sha256 prefixes of every artifact the mini pipelines write, except the two
