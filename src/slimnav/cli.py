@@ -630,8 +630,11 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
             max_steps=max(60, 5 * int(d)))
         rows.append(f"{d},{rep.n_episodes},{_fmt(rep.success_rate)},"
                     f"{_fmt(rep.mean_length_ratio)}")
-        print(f"distance {d}: success {rep.success_rate:.3f} "
-              f"over {rep.n_episodes} episodes")
+        if tasks:
+            print(f"distance {d}: success {rep.success_rate:.3f} "
+                  f"over {rep.n_episodes} episodes")
+        else:
+            print(f"distance {d}: no tasks")
     write_csv(_artifact(cfg, EVAL_SUCCESS_FILE),
               "distance,episodes,success_rate,mean_length_ratio", rows, chash)
 

@@ -204,7 +204,8 @@ def evaluate_navigation(nav: SlimmableMLP, grid, tasks, *, mode: str = "C",
     """Run the navigation network alone (no auxiliary adaptation) over the
     given tasks, at a fixed slimming factor in mode C or at max power in
     mode S. The length ratio compares flown step counts to the optimal
-    path's step count, over successful episodes."""
+    path's step count, over successful episodes. With no tasks both rates
+    are nan: an empty bucket has no success rate, not a zero one."""
     logs = []
     for task in tasks:
         log = run_episode(grid, nav, None, mode,
@@ -218,6 +219,6 @@ def evaluate_navigation(nav: SlimmableMLP, grid, tasks, *, mode: str = "C",
         logs.append(log)
     succ = [l for l in logs if l.outcome == REACHED]
     ratios = [l.path_steps / l.optimal_steps for l in succ if l.optimal_steps]
-    return EvalReport(success_rate=len(succ) / len(logs) if logs else 0.0,
+    return EvalReport(success_rate=len(succ) / len(logs) if logs else float("nan"),
                       mean_length_ratio=float(np.mean(ratios)) if ratios else float("nan"),
                       n_episodes=len(logs), episodes=logs)

@@ -32,33 +32,62 @@ HORIZONTAL_MOVES = tuple((dx, dy, 0) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
 VERTICAL_MOVES = ((0, 0, 1), (0, 0, -1))
 
 
+def _shift(a: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """out[x, y] = a[x + dx, y + dy] over the first two axes; False where
+    x + dx or y + dy falls outside a."""
+    nx, ny = a.shape[:2]
+    out = np.zeros_like(a)
+    out[max(-dx, 0):nx - max(dx, 0), max(-dy, 0):ny - max(dy, 0)] = \
+        a[max(dx, 0):nx - max(-dx, 0), max(dy, 0):ny - max(-dy, 0)]
+    return out
+
+
 def crowding_mask(occupancy: np.ndarray) -> np.ndarray:
     """True where the same-z 8-neighborhood touches an obstacle — the voxels
     where a drifting flight can clip a wall."""
     crowd = np.zeros_like(occupancy)
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if (dx, dy) == (0, 0):
-                continue
-            sx = slice(max(dx, 0), occupancy.shape[0] + min(dx, 0))
-            tx = slice(max(-dx, 0), occupancy.shape[0] + min(-dx, 0))
-            sy = slice(max(dy, 0), occupancy.shape[1] + min(dy, 0))
-            ty = slice(max(-dy, 0), occupancy.shape[1] + min(-dy, 0))
-            crowd[tx, ty, :] |= occupancy[sx, sy, :]
+    for dx, dy, _ in HORIZONTAL_MOVES:
+        crowd |= _shift(occupancy, dx, dy)
     return crowd
+
+
+def edge_table(free: np.ndarray, moves, z: int) -> np.ndarray:
+    """Edges out of slice z: `[m, x, y]` is True where (x, y, z) is free and
+    move m from it lands on a free voxel, and, for a diagonal, both
+    orthogonal neighbours are free too (otherwise the edge grazes an
+    obstacle corner with zero clearance).
+
+    That is the whole edge test. The drone's collision test, `segment_hits`,
+    samples a move from one voxel centre to the next at spacing
+    <= resolution/2; every sample rounds into the start voxel, the target
+    voxel or, on a diagonal, one of the two corner voxels, so it never
+    blocks an edge these lookups admit."""
+    nz = free.shape[2]
+    here = free[:, :, z]
+    table = np.zeros((len(moves),) + here.shape, dtype=bool)
+    for m, (dx, dy, dz, _) in enumerate(moves):
+        if not 0 <= z + dz < nz:
+            continue
+        table[m] = here & _shift(free[:, :, z + dz], dx, dy)
+        if dx != 0 and dy != 0:
+            table[m] &= _shift(here, dx, 0) & _shift(here, 0, dy)
+    return table
 
 
 @dataclass
 class MapGraph:
     """Vertices are free voxels (one per voxel center); edges connect
     neighbors whose center-to-center segment passes the same collision test
-    the drone motion uses."""
+    the drone motion uses. `neighbors` reads the edges from one table per
+    z slice (`edge_table`), built on the first visit to the slice and
+    cached."""
 
     grid: VoxelGrid
     vertical_locked: bool
     free: np.ndarray
     moves: tuple
     _crowding: np.ndarray | None = field(default=None, repr=False)
+    _edges: dict = field(default_factory=dict, repr=False)
 
     def is_vertex(self, v) -> bool:
         return self.grid.in_bounds(v) and bool(self.free[v[0], v[1], v[2]])
@@ -71,21 +100,21 @@ class MapGraph:
             self._crowding = crowding_mask(self.grid.occupancy)
         return self._crowding
 
+    def edges(self, z: int) -> np.ndarray:
+        """`edges(z)[m, x, y]`: whether move m from free vertex (x, y, z)
+        is an edge."""
+        table = self._edges.get(z)
+        if table is None:
+            table = self._edges[z] = edge_table(self.free, self.moves, z)
+        return table
+
     def neighbors(self, v):
-        p = self.grid.center_of(v)
-        for dx, dy, dz, cost in self.moves:
-            w = (v[0] + dx, v[1] + dy, v[2] + dz)
-            if not self.is_vertex(w):
-                continue
-            if dx != 0 and dy != 0:
-                # diagonals need both orthogonal neighbors free, otherwise the
-                # edge grazes an obstacle corner with zero clearance
-                if not (self.free[v[0] + dx, v[1], v[2]] and
-                        self.free[v[0], v[1] + dy, v[2]]):
-                    continue
-            if worldsim.segment_hits(self.grid, p, self.grid.center_of(w) - p) is not None:
-                continue
-            yield w, cost
+        """(neighbour, move cost) of free vertex v, in `moves` order."""
+        x, y, z = v
+        for (dx, dy, dz, cost), ok in zip(self.moves,
+                                          self.edges(z)[:, x, y].tolist()):
+            if ok:
+                yield (x + dx, y + dy, z + dz), cost
 
 
 def build_graph(grid: VoxelGrid, vertical_locked: bool = False) -> MapGraph:

@@ -345,6 +345,12 @@ class Adam:
         self.v = np.zeros_like(net.params)
 
     def step(self, grads: Grads) -> None:
+        """One update, in place, with the arithmetic of, element by element,
+        `m = b1 * m + (1 - b1) * g`, `v = b2 * v + (1 - b2) * g * g` and
+        `p = f32(p - lr * (m / c1) / (sqrt(v / c2) + eps))`. It allocates
+        one two-row scratch array (numerator, denominator) and the float32
+        copy of the result, both for the step alone: a scratch kept between
+        steps would add its size to every later memory peak."""
         if not grads.all_finite():
             bad = np.count_nonzero(~np.isfinite(grads.params))
             raise TrainingError(f"non-finite gradient in {bad} of {grads.params.size} parameters")
@@ -353,11 +359,22 @@ class Adam:
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
         p, g, m, v = self.net.params, grads.params, self.m, self.v
+        num, den = np.empty((2, p.size))
         m *= b1
-        m += (1 - b1) * g
+        np.multiply(1 - b1, g, out=num)
+        m += num
         v *= b2
-        v += (1 - b2) * g * g
-        p[:] = _f32(p - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
+        np.multiply(1 - b2, g, out=num)
+        num *= g
+        v += num
+        np.divide(m, c1, out=num)
+        np.multiply(self.lr, num, out=num)
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        np.subtract(p, num, out=num)
+        p[:] = num.astype(np.float32)
 
 
 # weight file io

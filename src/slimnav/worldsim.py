@@ -419,7 +419,8 @@ def segment_hits(grid: VoxelGrid, start, delta):
     """First blocked sample point along start -> start+delta, or None.
 
     Samples at spacing <= resolution/2, endpoint included, start excluded.
-    Shared by drone motion and the motion-graph edge test.
+    The collision test of drone motion. It blocks none of the motion
+    graph's edges (see `pathoracle.edge_table`).
     """
     start = np.asarray(start, dtype=float)
     delta = np.asarray(delta, dtype=float)
@@ -457,12 +458,18 @@ def step(grid: VoxelGrid, state: DroneState, delta,
     The command is clamped per component to [-max_step, max_step] (z forced
     to 0 when vertical motion is locked). The swept segment is collision
     checked at <= resolution/2 spacing; the first blocked sample stops the
-    drone there with terminal "collided".
+    drone there with terminal "collided". A command with a NaN component
+    (clamping has already bounded +-inf) moves nothing and also ends the
+    flight "collided", at the current position: a navigator that emits a
+    non-finite motion has failed the flight.
     """
     if state.terminal != ACTIVE:
         raise ValueError(f"cannot step a terminal state ({state.terminal})")
     d = clamp_motion(delta, max_step, state.vertical_locked)
-    hit = segment_hits(grid, state.position, d)
+    if np.isfinite(d).all():
+        hit = segment_hits(grid, state.position, d)
+    else:
+        hit = state.position.copy()
     if hit is not None:
         return DroneState(position=hit, goal=state.goal.copy(),
                           step_count=state.step_count + 1, terminal=COLLIDED,

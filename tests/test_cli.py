@@ -513,6 +513,30 @@ def test_pipeline_eval_success_rows(mini_c):
         assert 0.0 <= float(r[2]) <= 1.0
 
 
+def test_eval_bucket_the_test_slab_cannot_host(tmp_path, capsys):
+    # the 24-voxel world's test slab is 6 voxels wide: no 40 m task fits
+    data = _mini_dict(str(tmp_path / "run"), "C")
+    data["eval"]["buckets"] = [5, 40]
+    data["nav"].update(max_epochs=2, refine_rollouts=0)
+    data["aux"].update(total_env_steps=130, exploration_steps=120)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    for command in ("gen-world", "oracle", "train-nav", "train-aux", "eval",
+                    "report"):
+        try:
+            assert cli.main([command, "--config", str(cfg_path)]) == 0
+        except ConstraintViolation:
+            assert command == "train-aux"
+    out = capsys.readouterr().out
+    assert "distance 40: no tasks" in out
+    assert "distance 5: success" in out
+    cfg = load_config(str(cfg_path), None)
+    for name in (EVAL_SUCCESS_FILE, REPORT_FILES["success"]):
+        _, rows = read_csv(os.path.join(cfg.out_dir, name), cfg.config_hash())
+        assert rows[0][:2] == ["5", "4"] and 0.0 <= float(rows[0][2]) <= 1.0
+        assert rows[1] == ["40", "0", "nan", "nan"]
+
+
 def test_pipeline_eval_rmse_mode_c(mini_c):
     cfg, _, _ = mini_c
     header, rows = read_csv(os.path.join(cfg.out_dir, EVAL_RMSE_FILE),

@@ -1,6 +1,8 @@
 """Sandwich-scheme distillation training: gradient composition, early
 stopping, controls, and closed-loop evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,13 @@ def test_evaluate_navigation_in_empty_world(empty_world_net):
     assert rep.success_rate == 1.0            # no obstacles to hit
     assert 0.5 <= rep.mean_length_ratio <= 2.0
     assert all(l.outcome == worldsim.REACHED for l in rep.episodes)
+
+
+def test_evaluate_navigation_without_tasks_has_no_rates(empty_world_net):
+    grid, net, _ = empty_world_net
+    rep = evaluate_navigation(net, grid, [], vertical_locked=True)
+    assert rep.n_episodes == 0 and rep.episodes == []
+    assert math.isnan(rep.success_rate) and math.isnan(rep.mean_length_ratio)
 
 
 def test_evaluate_navigation_slim_still_flies(empty_world_net):

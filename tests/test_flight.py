@@ -184,3 +184,30 @@ def test_flight_observe_then_move():
     x2, obs2 = flight.observe(worldsim.SensorConfig(3, 3))
     assert np.array_equal(obs2.last_action, flight.last_action)
     assert x2[OBS_WIDTH:].tobytes() == x[:OBS_WIDTH].tobytes()   # newest first
+
+
+def test_flight_nan_motion_collides_in_place():
+    grid = worldsim.generate_world((16, 16, 8), resolution=1.0)
+    flight = worldsim.Flight(grid, (8.5, 8.5, 3.5), (12.5, 8.5, 3.5), depth=1)
+    flight.observe(worldsim.SensorConfig(1, 0))
+    state = flight.move([np.inf, -np.inf, 0.0])     # clamped, so it flies
+    assert state.terminal == worldsim.ACTIVE
+    assert np.array_equal(state.position, (10.5, 6.5, 3.5))
+    flight.observe(worldsim.SensorConfig(1, 0))
+    state = flight.move([0.5, np.nan, 0.0])
+    assert state.terminal == COLLIDED and state.step_count == 2
+    assert np.array_equal(state.position, (10.5, 6.5, 3.5))
+
+
+@pytest.mark.parametrize("mode", ["C", "S"])
+def test_run_episode_nan_motion_ends_collided(world, nav, mode):
+    broken = seeker()
+    broken.params[:] = np.nan
+    _, tasks = sample_tasks(world, True, n=1)
+    spawn = world.center_of(tasks[0].spawn)
+    log = run_episode(world, broken, None, mode, spawn=spawn,
+                      goal=world.center_of(tasks[0].goal), depth=DEPTH,
+                      vertical_locked=True, optimal_path=tasks[0].path)
+    assert log.outcome == COLLIDED and len(log.steps) == 1
+    assert np.array_equal(log.steps[0].position, spawn)
+    assert np.isfinite(log.steps[0].reward)

@@ -271,6 +271,28 @@ def test_adam_step_deterministic_and_f32_canonical():
         assert np.array_equal(wa, wa.astype(np.float32).astype(np.float64))
 
 
+def test_adam_in_place_step_equals_the_expression():
+    # the update as one expression, the form Adam.step had before it ran in
+    # place on a scratch array
+    spec = small_spec()
+    net = SlimmableMLP(spec, seed=23)
+    opt = Adam(net, 3e-3)
+    p, m, v = net.params.copy(), np.zeros_like(net.params), np.zeros_like(net.params)
+    rng = np.random.default_rng(24)
+    for t in range(1, 7):
+        grads = Grads(spec)
+        grads.params[:] = rng.normal(size=p.size) * 10.0 ** rng.integers(-6, 3)
+        opt.step(grads)
+        g = grads.params
+        m = 0.9 * m + (1 - 0.9) * g
+        v = 0.999 * v + (1 - 0.999) * g * g
+        c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        p = (p - 3e-3 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+             ).astype(np.float32).astype(np.float64)
+        assert net.params.tobytes() == p.tobytes()
+        assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+
 def test_non_finite_gradients_rejected():
     spec = small_spec()
     net = SlimmableMLP(spec, seed=20)
