@@ -3,6 +3,7 @@
 The optimality checks compare A* against an independently written Dijkstra
 (no heuristic, its own adjacency code) so a shared bug cannot hide."""
 
+import hashlib
 import heapq
 import math
 
@@ -429,6 +430,50 @@ def test_label_dataset_crowd_boost(world, flat_graph):
         label_dataset(world, paths, depth=2, crowd_boost=0)
     with pytest.raises(ConfigError):
         label_dataset(world, paths, depth=2, crowd_boost=1.5)
+
+
+# sha256 of the `save_dataset` bytes of two `label_dataset` calls that share
+# one rng (as the oracle stage shares one across its regions), and of that
+# rng's state after them. Recorded with numpy 2.4 on x86-64.
+LABEL_DIGESTS = {
+    (1.0, True, 3, 3): "fbc4cd6d563ba0e0",
+    (1.0, True, 2, 2): "7cccdbcdce68a26b",
+    (1.0, True, 1, 0): "9ad0cc8d408eb08d",
+    (1.0, False, 3, 3): "6448f82babba21a4",
+    (1.0, False, 2, 2): "b938ce9476184fd0",
+    (1.0, False, 1, 0): "b7778ea41dd525dd",
+    (0.5, True, 3, 3): "a2439055cc40e54b",
+    (0.5, True, 2, 2): "5d0e15e4896f9726",
+    (0.5, True, 1, 0): "c73e3469e2e6efe2",
+    (0.5, False, 3, 3): "8756381384849944",
+    (0.5, False, 2, 2): "b518befa24eda2eb",
+    (0.5, False, 1, 0): "f90a5d3800847b78",
+}
+
+
+@pytest.mark.parametrize("res,locked,p_f,p_d", list(LABEL_DIGESTS))
+def test_label_dataset_pinned(tmp_path, res, locked, p_f, p_d):
+    grid = worldsim.generate_world((24, 24, 8), resolution=res,
+                                   density=0.15, seed=5)
+    sampler = TaskSampler(build_graph(grid, vertical_locked=locked),
+                          partition_regions(grid, (0.5, 0.25, 0.25)),
+                          flight_z=3 if locked else None)
+    rng = np.random.default_rng(11)
+    paths = [sampler.sample("train", 8.0 * res, rng).path for _ in range(5)]
+    # a one-waypoint path yields no sample; waypoint lists are accepted too
+    paths[2:2] = [[paths[0].waypoints[0]], paths[1].waypoints]
+    sensor = worldsim.SensorConfig(p_f, p_d, max_range=100.0 if p_d else 6.0)
+    h = hashlib.sha256()
+    for part in (paths[:3], paths[3:]):
+        ds = label_dataset(grid, part, depth=4, sensor=sensor, jitter=0.3,
+                           rng=rng, crowd_boost=3)
+        save_dataset(ds, tmp_path / "ds.bin")
+        h.update((tmp_path / "ds.bin").read_bytes())
+    h.update(repr(rng.bit_generator.state).encode())
+    plain = label_dataset(grid, paths, depth=2, sensor=sensor)
+    save_dataset(plain, tmp_path / "ds.bin")
+    h.update((tmp_path / "ds.bin").read_bytes())
+    assert h.hexdigest()[:16] == LABEL_DIGESTS[(res, locked, p_f, p_d)]
 
 
 def test_label_rollouts_crowd_boost(world, flat_graph):
