@@ -14,8 +14,7 @@ import numpy as np
 
 from . import worldsim
 from .errors import ConfigError, LoadError, NoPathError
-from .worldsim import (DroneState, FifoQueue, OBS_WIDTH, SensorConfig,
-                       VoxelGrid, sense)
+from .worldsim import FifoQueue, OBS_WIDTH, SensorConfig, VoxelGrid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -356,7 +355,11 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
     the same-z 8-neighborhood) are duplicated that many times. Collisions
     happen almost exclusively in crowded voxels, yet most samples come from
     open space; boosting makes the regression loss pay proportionally more
-    attention where a wrong motion actually costs a crash."""
+    attention where a wrong motion actually costs a crash.
+
+    Every pose is known before any depth is read, so the poses are sensed
+    in bounded batches (`worldsim.sense_poses`), not one `sense` call each;
+    the samples are the same, bit for bit."""
     if sensor is None:
         sensor = SensorConfig(3, 3)
     if jitter < 0:
@@ -365,13 +368,14 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
         rng = np.random.default_rng(0)
     crowd_boost = _check_crowd_boost(crowd_boost)
     crowd = crowding_mask(grid.occupancy) if crowd_boost > 1 else None
-    xs, ys = [], []
+    # walk every pose first (the rng draws come in path order), then sense
+    # them all in batches, then fill each path's FIFO
+    positions, goals, lasts, targets, reps, steps = [], [], [], [], [], []
     for path in paths:
         pts = grid.center_of(path.waypoints if isinstance(path, OptimalPath)
                              else path)
-        fifo = FifoQueue(depth, OBS_WIDTH)
         last = np.zeros(3)
-        goal = pts[-1]
+        steps.append(len(pts) - 1)
         for k in range(len(pts) - 1):
             pos = pts[k]
             if jitter > 0 and k > 0:
@@ -381,21 +385,31 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
                     if not grid.occupied_at(cand):
                         pos = cand
                         break
-            state = DroneState(position=pos, goal=goal)
-            obs = sense(grid, state, sensor, last_action=last)
-            fifo.push(obs.vector())
             target = np.clip(pts[k + 1] - pos, -max_step, max_step)
-            reps = 1
+            r = 1
             if crowd is not None:
                 v = grid.voxel_of(pos)
                 if crowd[v[0], v[1], v[2]]:
-                    reps = crowd_boost
-            for _ in range(reps):
-                xs.append(fifo.flatten())
-                ys.append(target)
+                    r = crowd_boost
+            positions.append(pos)
+            goals.append(pts[-1])
+            lasts.append(last)
+            targets.append(target)
+            reps.append(r)
             last = target / max_step
-    if not xs:
+    if not positions:
         raise ConfigError("no paths supplied, dataset would be empty")
+    obs = worldsim.sense_poses(grid, positions, goals, sensor, lasts)
+    xs, ys = [], []
+    start = 0
+    for n in steps:
+        fifo = FifoQueue(depth, OBS_WIDTH)
+        for i in range(start, start + n):
+            fifo.push(obs[i])
+            for _ in range(reps[i]):
+                xs.append(fifo.flatten())
+                ys.append(targets[i])
+        start += n
     return LabeledDataset(fifo_vectors=np.asarray(xs), targets=np.asarray(ys),
                           depth=depth, p_f=sensor.p_f, p_d=sensor.p_d)
 

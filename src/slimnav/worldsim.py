@@ -33,6 +33,9 @@ MIN_DIMS = (16, 16, 8)
 DEFAULT_MAX_RANGE = 100.0
 DEFAULT_GOAL_RADIUS = 2.0
 DEFAULT_MAX_STEP = 2.0
+# rays per cast_rays call when sensing many poses: enough to share the
+# call's fixed cost, few enough to keep its memory small
+SENSE_BATCH_RAYS = 400
 DISTANCE_SCALE = 100.0    # goal distance normalization, meters
 
 WORLD_MAGIC = "NAVIWORLD v1"
@@ -75,16 +78,18 @@ _FWD_ANGLES = np.deg2rad(np.linspace(-45.0, 45.0, FORWARD_GRID))
 _DOWN_TAN = np.tan(np.deg2rad(np.linspace(-45.0, 45.0, DOWNWARD_GRID)))
 
 
+_FWD_COS_EL = np.cos(_FWD_ANGLES)[:, None]
+_FWD_SIN_EL = np.sin(_FWD_ANGLES)[:, None]
+
+
 def forward_ray_directions(heading: float) -> np.ndarray:
     """Unit directions (64, 3) of the forward sensor, row major over
     (elevation, azimuth), azimuth measured relative to `heading` (radians)."""
     az = heading + _FWD_ANGLES
-    el = _FWD_ANGLES
-    cos_el = np.cos(el)[:, None]
     dirs = np.empty((FORWARD_GRID, FORWARD_GRID, 3))
-    dirs[:, :, 0] = cos_el * np.cos(az)[None, :]
-    dirs[:, :, 1] = cos_el * np.sin(az)[None, :]
-    dirs[:, :, 2] = np.tile(np.sin(el)[:, None], (1, FORWARD_GRID))
+    dirs[:, :, 0] = _FWD_COS_EL * np.cos(az)
+    dirs[:, :, 1] = _FWD_COS_EL * np.sin(az)
+    dirs[:, :, 2] = _FWD_SIN_EL
     return dirs.reshape(-1, 3)
 
 
@@ -319,9 +324,29 @@ class Observation:
         return float(self.downward_depths[self.downward_mask].mean())
 
 
+def _origin_voxels(grid: VoxelGrid, origin: np.ndarray) -> np.ndarray:
+    """Voxel of the origin `(3,)`, or of each origin `(n, 3)`, as int64.
+    Raises SensorError for the first origin outside the grid or inside an
+    occupied voxel, naming its row when there is one origin per ray."""
+    cell = np.floor(origin / grid.resolution)
+    if (cell >= 0).all() and (cell < grid.dims).all():     # False for NaN
+        voxel = cell.astype(np.int64)
+        if not grid.occupancy[tuple(voxel.T)].any():
+            return voxel
+    rows = cell.reshape(-1, 3)
+    inside = np.all((rows >= 0) & (rows < grid.dims), axis=1)
+    bad = ~inside
+    bad[inside] = grid.occupancy[tuple(rows[inside].astype(np.int64).T)]
+    r = int(np.argmax(bad))
+    what = "inside an occupied voxel" if inside[r] else "outside the grid"
+    row = f" (row {r})" if origin.ndim == 2 else ""
+    raise SensorError(f"ray origin {origin.reshape(-1, 3)[r].tolist()}{row} is {what}")
+
+
 def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MAX_RANGE) -> np.ndarray:
     """Distance along each (unit) direction to the first occupied voxel, in
-    meters, capped at max_range.
+    meters, capped at max_range. `origin` is one point `(3,)` that every
+    ray starts from, or one point per ray `(n, 3)`.
 
     Voxel traversal (Amanatides & Woo 1987) without a per-step loop. A ray
     leaves its voxel at a sequence of boundary crossings; on each axis the
@@ -332,20 +357,28 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
     enters a voxel that is occupied or outside the grid (depth: that
     crossing's time). Crossing times are summed one term at a time, so the
     depths equal, bit for bit, those of stepping the rays one crossing at a
-    time. Work and memory are bounded by the crossings the farthest-reaching
-    ray of the call makes before it leaves the grid or passes `max_range`:
-    at most `sum(dims)` per ray. A direction component so small that its
-    reciprocal overflows counts as zero, and a direction whose norm under-
-    or overflows is divided by its largest |component| before it is
-    normalised.
+    time, whichever rays share a call.
 
-    Raises SensorError if the origin sits inside an occupied voxel, and
-    ValueError for a zero or non-finite direction or a NaN max_range.
+    Each ray's work is bounded by its own crossings: on each axis, those up
+    to where it leaves the grid or passes `max_range`, plus one, and never
+    more than that axis's `dims`. Memory grows with the number of rays in
+    the call times their mean crossing count, plus the crossings of the
+    longest columns beyond twice that mean. A direction component so small
+    that its reciprocal overflows counts as zero, and a direction whose
+    norm under- or overflows is divided by its largest |component| before
+    it is normalised.
+
+    Raises SensorError if an origin is outside the grid or inside an
+    occupied voxel (naming the first such row of a per-ray origin), and
+    ValueError for an origin of another shape, a zero or non-finite
+    direction, or a max_range that is NaN or not positive.
     """
     origin = np.asarray(origin, dtype=float)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if grid.occupied_at(origin):
-        raise SensorError(f"ray origin {origin.tolist()} is inside an occupied voxel")
+    if origin.shape != (3,) and origin.shape != (len(dirs), 3):
+        raise ValueError(f"origin must have shape (3,) or ({len(dirs)}, 3), "
+                         f"got {origin.shape}")
+    voxel = _origin_voxels(grid, origin)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(dirs, axis=1)
     odd = ~(np.isfinite(norms) & (norms > 0))
@@ -356,8 +389,8 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
         dirs = dirs.copy()
         dirs[odd] /= big[:, None]
         norms[odd] = np.linalg.norm(dirs[odd], axis=1)
-    if math.isnan(max_range):
-        raise ValueError("max_range must be a number")
+    if not max_range > 0:
+        raise ValueError(f"max_range must be positive, got {max_range}")
     dirs = dirs / norms[:, None]
     n = dirs.shape[0]
     if n == 0:
@@ -365,7 +398,6 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
 
     res = grid.resolution
     dims = np.array(grid.dims, dtype=np.int64)
-    voxel = np.floor(origin / res).astype(np.int64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv = 1.0 / dirs
         t_delta = np.abs(inv) * res
@@ -375,42 +407,75 @@ def cast_rays(grid: VoxelGrid, origin, directions, max_range: float = DEFAULT_MA
         t_first[~moving] = np.inf
         # crossings per axis up to and including the one that leaves the
         # grid; a ray needs them only up to its earliest exit or max_range,
-        # and one more absorbs the rounding of this estimate
+        # and one more absorbs the rounding of this estimate (a NaN from
+        # an overflowed first crossing asks for one)
         exits = np.where(step > 0, dims - voxel, voxel + 1)
         t_leave = t_first + (exits - 1) * t_delta
         t_leave[~moving] = np.inf
         t_end = np.minimum(t_leave.min(axis=1), max_range)
         reach = np.floor((t_end[:, None] - t_first) / t_delta) + 2
-        need = np.where(moving, np.clip(reach, 1, exits), 0).max(axis=0).astype(np.int64)
+        count = np.where(moving, np.fmin(np.fmax(reach, 1), exits), 0)
+    # column c = 3r + a lists ray r's crossings of axis a
+    count = count.astype(np.int64).reshape(-1)
+    ends = np.cumsum(count)
+    per_ray = count.reshape(n, 3).sum(axis=1)
+    ray_ends = ends[2::3]
+    total = int(ends[-1])
 
-    # row r holds ray r's crossing times, axis by axis, each a running sum
-    m = int(need.sum())
-    start = np.concatenate(([0], np.cumsum(need)[:-1]))
-    times = np.repeat(t_delta, need, axis=1)
-    times[:, start[need > 0]] = t_first[:, need > 0]
+    # a column's crossing times are the running sums t_first, t_first +
+    # t_delta, ..., one cumsum down the rows of a block of columns. Every
+    # column gets the rows `head` (about twice the mean count, so most
+    # columns end there); the longer ones continue in `tail` from their
+    # last head row, so the additions stay in order
+    ncol = 3 * n
+    k = int(count.max())
+    s = min(k, 2 * total // ncol + 1)
+    long = np.flatnonzero(count > s)
+    buf = np.empty(s * ncol + (k - s + 1) * long.size)
+    head = buf[:s * ncol].reshape(s, ncol)
+    tail = buf[s * ncol:].reshape(k - s + 1, long.size)
+    head[0] = t_first.reshape(-1)
+    head[1:] = t_delta.reshape(-1)
     # a sum that overflows to inf is a crossing the ray never makes
     with np.errstate(over="ignore"):
-        for a in range(3):
-            block = times[:, start[a]:start[a] + need[a]]
-            np.cumsum(block, axis=1, out=block)
-    order = np.argsort(times, axis=1, kind="stable")
-    order += (np.arange(n) * m)[:, None]       # flat positions in `times`
+        np.cumsum(head, axis=0, out=head)
+        tail[0] = head[s - 1, long]
+        tail[1:] = t_delta.reshape(-1)[long]
+        np.cumsum(tail, axis=0, out=tail)
+    # crossing j of column c, for every column in turn
+    col = np.repeat(np.arange(ncol), count)
+    j = np.arange(total) - np.repeat(ends - count, count)
+    slot = np.zeros(ncol, dtype=np.int64)
+    slot[long] = np.arange(long.size)
+    # keyed (ray, time): a ray's crossings are contiguous and axis-major,
+    # so a stable sort merges them in time order with ties lowest-axis-first
+    key = np.empty(total, dtype=complex)
+    key.real = np.repeat(np.arange(n), per_ray)
+    key.imag = buf[np.where(j < s, j * ncol + col,
+                            s * ncol + (j - s + 1) * long.size + slot[col])]
+    order = np.argsort(key, kind="stable")
 
-    # flat index of the voxel each crossing enters, valid up to the first
-    # crossing that leaves the grid (clipped beyond it)
-    stride = np.array([dims[1] * dims[2], dims[2], 1])
-    flat = np.cumsum(np.repeat(step * stride, need, axis=1).reshape(-1)[order], axis=1)
-    flat += int(voxel @ stride)
+    # flat index of the voxel each crossing enters. The crossing that
+    # leaves the grid, the last of its column when the column reaches the
+    # grid's edge, also adds `leave`: that puts it and every later
+    # crossing of its ray past the last voxel, and stops the ray there
     occ = grid.occupancy.reshape(-1)
-    hit = occ[np.clip(flat, 0, occ.size - 1, out=flat)]
-    first = hit.argmax(axis=1)
-    rows = np.arange(n)
-    depth = np.where(hit[rows, first], times.reshape(-1)[order[rows, first]], np.inf)
-    # the crossing that leaves the grid stops a ray too; any crossing at or
-    # after it in time order has a clipped voxel but cannot be earlier
-    last = start + np.minimum(exits, need) - 1 + (rows * m)[:, None]
-    t_exit = np.where(exits <= need, times.reshape(-1)[last], np.inf).min(axis=1)
-    np.minimum(depth, t_exit, out=depth)
+    leave = 4 * occ.size        # more than a ray's own steps can undo
+    stride = np.array([dims[1] * dims[2], dims[2], 1])
+    moves = (step * stride).reshape(-1)[col]
+    moves[ends[count == exits.reshape(-1)] - 1] += leave
+    flat = np.cumsum(moves[order])
+    # each ray restarts from its origin
+    flat += np.repeat(voxel @ stride - np.concatenate(([0], flat[ray_ends[:-1] - 1])),
+                      per_ray)
+    inside = np.minimum(flat, occ.size - 1)
+    stop = occ[inside]
+    stop |= flat > inside
+    first = np.minimum.reduceat(np.where(stop, np.arange(total), total),
+                                ray_ends - per_ray)
+    depth = np.full(n, np.inf)
+    found = first < total
+    depth[found] = key.imag[order[first[found]]]
     depth[depth > max_range] = max_range
     return depth
 
@@ -482,6 +547,21 @@ def step(grid: VoxelGrid, state: DroneState, delta,
                       vertical_locked=state.vertical_locked)
 
 
+def _aim(position, goal, config: SensorConfig):
+    """Ray directions at the configured power levels (forward rays first),
+    unit goal direction and goal distance of the sensor at `position`
+    aimed as `sense` aims it toward `goal`."""
+    to_goal = goal - position
+    dist = float(np.linalg.norm(to_goal))
+    goal_vec = to_goal / dist if dist > 0 else np.zeros(3)
+    heading = 0.0
+    if math.hypot(to_goal[0], to_goal[1]) > 1e-9:
+        heading = math.atan2(to_goal[1], to_goal[0])
+    dirs = np.concatenate([forward_ray_directions(heading)[_FORWARD_IDX[config.p_f]],
+                           _DOWN_DIRS[_DOWNWARD_IDX[config.p_d]]])
+    return dirs, goal_vec, dist
+
+
 def sense(grid: VoxelGrid, state: DroneState, config: SensorConfig,
           last_action=None) -> Observation:
     """Acquire depth rays at the configured power levels plus goal features.
@@ -492,19 +572,11 @@ def sense(grid: VoxelGrid, state: DroneState, config: SensorConfig,
     """
     if state.terminal != ACTIVE:
         raise ValueError(f"cannot sense from a terminal state ({state.terminal})")
-    pos = state.position
-    to_goal = state.goal - pos
-    dist = float(np.linalg.norm(to_goal))
-    goal_vec = to_goal / dist if dist > 0 else np.zeros(3)
-    heading = 0.0
-    if math.hypot(to_goal[0], to_goal[1]) > 1e-9:
-        heading = math.atan2(to_goal[1], to_goal[0])
+    dirs, goal_vec, dist = _aim(state.position, state.goal, config)
+    depths = cast_rays(grid, state.position, dirs, config.max_range) / config.max_range
 
     f_idx = _FORWARD_IDX[config.p_f]
     d_idx = _DOWNWARD_IDX[config.p_d]
-    dirs = np.concatenate([forward_ray_directions(heading)[f_idx], _DOWN_DIRS[d_idx]])
-    depths = cast_rays(grid, pos, dirs, config.max_range) / config.max_range
-
     forward = np.zeros(FORWARD_RAYS)
     fmask = np.zeros(FORWARD_RAYS, dtype=bool)
     forward[f_idx] = depths[:f_idx.size]
@@ -520,6 +592,39 @@ def sense(grid: VoxelGrid, state: DroneState, config: SensorConfig,
                        downward_depths=downward, downward_mask=dmask,
                        goal_vector=goal_vec, goal_distance=dist / DISTANCE_SCALE,
                        last_action=la)
+
+
+def sense_poses(grid: VoxelGrid, positions, goals, config: SensorConfig,
+                last_actions) -> np.ndarray:
+    """`sense(...).vector()` at each of P poses, as a (P, OBS_WIDTH) array:
+    row p is sensed at positions[p] toward goals[p], with last_actions[p]
+    as the previous command.
+
+    The rays of consecutive poses go to `cast_rays` together, at most
+    SENSE_BATCH_RAYS per call (and at least one pose), so the fixed cost
+    of a call is shared while its memory stays bounded."""
+    positions = np.asarray(positions, dtype=float)
+    f_idx = _FORWARD_IDX[config.p_f]
+    d_idx = _DOWNWARD_IDX[config.p_d]
+    rays = f_idx.size + d_idx.size
+    batch = max(1, SENSE_BATCH_RAYS // rays)
+    g = FORWARD_RAYS + DOWNWARD_RAYS
+    out = np.zeros((len(positions), OBS_WIDTH))
+    for lo in range(0, len(positions), batch):
+        hi = min(lo + batch, len(positions))
+        dirs = []
+        for p in range(lo, hi):
+            d, goal_vec, dist = _aim(positions[p], goals[p], config)
+            dirs.append(d)
+            out[p, g:g + 3] = goal_vec
+            out[p, g + 3] = dist / DISTANCE_SCALE
+        depths = cast_rays(grid, np.repeat(positions[lo:hi], rays, axis=0),
+                           np.concatenate(dirs), config.max_range) / config.max_range
+        depths = depths.reshape(hi - lo, rays)
+        out[lo:hi, f_idx] = depths[:, :f_idx.size]
+        out[lo:hi, FORWARD_RAYS + d_idx] = depths[:, f_idx.size:]
+    out[:, g + 4:] = last_actions
+    return out
 
 
 class FifoQueue:

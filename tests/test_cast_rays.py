@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dda_reference import dda_cast_rays
+from slimnav import worldsim
 from slimnav.errors import SensorError
 from slimnav.worldsim import (DOWNWARD_LEVELS, DOWNWARD_RAYS, FORWARD_LEVELS,
                               FORWARD_RAYS, DroneState, SensorConfig,
@@ -77,16 +78,25 @@ def first_crossing(grid, origin, direction):
     return min(ts)
 
 
-def assert_same(grid, origin, dirs, max_range):
-    # cast_rays scales a direction whose norm underflows to 0 by its largest
-    # |component| first, where the reference would reject it
+def reference(grid, origin, dirs, max_range):
+    """The stepwise DDA's depths. cast_rays scales a direction whose norm
+    underflows to 0 by its largest |component| first, where the reference
+    would reject it, so the reference gets it scaled."""
     ref_dirs = np.array(dirs, dtype=float, ndmin=2)
     tiny = np.linalg.norm(ref_dirs, axis=1) == 0
     ref_dirs[tiny] /= np.abs(ref_dirs[tiny]).max(axis=1, keepdims=True)
+    return dda_cast_rays(grid, origin, ref_dirs, max_range)
+
+
+def assert_same(grid, origin, dirs, max_range):
     try:
-        want = dda_cast_rays(grid, origin, ref_dirs, max_range)
+        want = reference(grid, origin, dirs, max_range)
     except SensorError:
         with pytest.raises(SensorError):
+            cast_rays(grid, origin, dirs, max_range)
+        return
+    if not max_range > 0:       # the reference returns depths of max_range
+        with pytest.raises(ValueError, match="max_range must be positive"):
             cast_rays(grid, origin, dirs, max_range)
         return
     got = cast_rays(grid, origin, dirs, max_range)
@@ -120,6 +130,88 @@ def test_cast_rays_equals_dda_on_sense_rays(data):
     dirs = np.concatenate([forward_ray_directions(heading), _DOWN_DIRS])
     assert len(dirs) == 100
     assert_same(grid, origin, dirs, data.draw(st.sampled_from([0.7, 5.0, 17.3, 100.0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cast_rays_per_ray_origins_equal_one_call_per_origin(data):
+    """A batch of rays from 1-12 origins, one origin per ray, gives each
+    origin's depths of its own reference call, bit for bit; an origin the
+    reference refuses makes the batch name that origin's first row."""
+    grid = data.draw(grids())
+    groups = [(data.draw(origins(grid)), np.array(data.draw(directions)))
+              for _ in range(data.draw(st.integers(1, 12)))]
+    max_range = data.draw(st.one_of(
+        st.sampled_from([0.7, 5.0, 17.3, 100.0]),
+        st.floats(0.0, 2.0 * float(grid.extent().max()), exclude_min=True)))
+    starts = np.cumsum([0] + [len(d) for _, d in groups])
+    batch_origins = np.concatenate([np.tile(o, (len(d), 1)) for o, d in groups])
+    batch_dirs = np.concatenate([d for _, d in groups])
+    want = []
+    for (o, d), row in zip(groups, starts):
+        try:
+            want.append(reference(grid, o, d, max_range))
+        except SensorError:
+            with pytest.raises(SensorError, match=rf"\(row {row}\) is "):
+                cast_rays(grid, batch_origins, batch_dirs, max_range)
+            return
+    got = cast_rays(grid, batch_origins, batch_dirs, max_range)
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    # one origin for every ray is the same as that origin on every row
+    o, d = groups[0]
+    assert (cast_rays(grid, o, d, max_range).tobytes()
+            == cast_rays(grid, np.tile(o, (len(d), 1)), d, max_range).tobytes())
+
+
+def test_cast_rays_input_contract():
+    grid = generate_world((16, 16, 8), seed=0)
+    free, x = (8.5, 8.5, 4.5), [(1.0, 0.0, 0.0)]
+    # the reference would return depths of max_range (or of -5)
+    for bad in (0.0, -0.0, -5.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_range must be positive"):
+            cast_rays(grid, free, x, bad)
+    for point in ((-0.5, 8.5, 4.5), (16.0, 8.5, 4.5), (8.5, 8.5, 1e300),
+                  (math.nan, 8.5, 4.5), (8.5, -math.inf, 4.5)):
+        with pytest.raises(SensorError, match=r"\] is outside the grid$"):
+            cast_rays(grid, point, x)
+    with pytest.raises(SensorError, match=r"\] is inside an occupied voxel$"):
+        cast_rays(grid, (0.5, 8.5, 4.5), x)
+    # a batch names its first offending row
+    rows = np.tile(free, (6, 1))
+    rows[4] = (8.5, 8.5, -1.0)
+    with pytest.raises(SensorError, match=r"\(row 4\) is outside the grid$"):
+        cast_rays(grid, rows, x * 6)
+    rows[2] = (8.5, 8.5, 7.5)
+    with pytest.raises(SensorError, match=r"\(row 2\) is inside an occupied voxel$"):
+        cast_rays(grid, rows, x * 6)
+    for shape in ((2, 3), (6, 2), (4,), (1, 6, 3)):
+        with pytest.raises(ValueError, match="origin must have shape"):
+            cast_rays(grid, np.full(shape, 8.5), x * 6)
+
+
+@pytest.mark.parametrize("budget", [1, 150, 500, 100_000])
+def test_sense_poses_equals_sense_at_each_pose(monkeypatch, budget):
+    """Casting many poses' rays together changes no depth: the batches of
+    any ray budget give each pose's `sense` vector, bit for bit."""
+    monkeypatch.setattr(worldsim, "SENSE_BATCH_RAYS", budget)
+    grid = generate_world((32, 32, 8), density=0.2, seed=4)
+    rng = np.random.default_rng(budget)
+    free = np.argwhere(~grid.occupancy)
+    positions, goals = [], []
+    while len(positions) < 9:
+        pos = grid.center_of(free[rng.integers(len(free))]) + rng.uniform(-0.5, 0.5, 3)
+        if not grid.occupied_at(pos):
+            positions.append(pos)
+            goals.append(grid.center_of(free[rng.integers(len(free))]))
+    goals[0] = positions[0] + (0.0, 0.0, 2.0)     # straight above: heading +x
+    goals[1] = positions[1]                       # at the goal
+    lasts = rng.uniform(-1, 1, (len(positions), 3))
+    for p_f, p_d in ((3, 3), (2, 2), (1, 0), (1, 3)):
+        config = SensorConfig(p_f, p_d, max_range=7.0 if p_d == 2 else 100.0)
+        got = worldsim.sense_poses(grid, positions, goals, config, lasts)
+        want = [sense(grid, DroneState(position=p, goal=g), config, last_action=a).vector()
+                for p, g, a in zip(positions, goals, lasts)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_cast_rays_zero_rays():
