@@ -432,9 +432,10 @@ def test_label_dataset_crowd_boost(world, flat_graph):
         label_dataset(world, paths, depth=2, crowd_boost=1.5)
 
 
-# sha256 of the `save_dataset` bytes of two `label_dataset` calls that share
-# one rng (as the oracle stage shares one across its regions), and of that
-# rng's state after them. Recorded with numpy 2.4 on x86-64.
+# sha256 of the `save_dataset` bytes of two jittered, crowd-boosted
+# `label_dataset` calls that share one rng (as the oracle stage shares one
+# across its regions), of that rng's state after them, and of a plain replay
+# of all the paths. Recorded with numpy 2.4 on x86-64.
 LABEL_DIGESTS = {
     (1.0, True, 3, 3): "fbc4cd6d563ba0e0",
     (1.0, True, 2, 2): "7cccdbcdce68a26b",
