@@ -7,12 +7,11 @@ auxiliary network picks the slimming factor or sensor powers step by step.
 """
 from .errors import (ConfigError, ConstraintViolation, DependencyError,
                      LoadError, NoPathError, SensorError, TrainingError)
-from .worldsim import (DroneState, FifoQueue, Flight, Observation,
-                       ObservationLayout, SensorConfig, VoxelGrid, cast_rays,
-                       generate_world, load_world, save_world, sense, step)
+from .worldsim import (DroneState, FifoQueue, Flight, ObservationLayout,
+                       SensorConfig, VoxelGrid, cast_rays, generate_world,
+                       load_world, save_world, sense, step)
 from .slimnet import (Adam, MLPSpec, SlimMask, SlimmableMLP, active_params,
-                      active_width, input_mask_from_power, load_weights,
-                      save_weights)
+                      active_width, load_weights, save_weights)
 from .pathoracle import (LabeledDataset, MapGraph, OptimalPath, Task,
                          TaskSampler, astar, build_graph, label_dataset,
                          load_dataset, load_paths, partition_regions,

@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .slimnet import (Adam, MLPSpec, SlimMask, SlimmableMLP, active_params,
-                      input_mask_from_power)
+from .slimnet import Adam, MLPSpec, SlimMask, SlimmableMLP, active_params
 from .worldsim import (ACTIVE, COLLIDED, DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE,
-                       DEFAULT_MAX_STEP, Flight, OBS_WIDTH, ObservationLayout,
-                       REACHED, SensorConfig)
+                       DEFAULT_MAX_STEP, MAX_POWER, MIN_POWER, Flight,
+                       OBS_WIDTH, ObservationLayout, REACHED, SensorConfig,
+                       mean_depths)
 
 TIMEOUT = "timeout"
 
-MAX_POWER = (3, 3)
-POWER_SUM_MAX = 6.0
+POWER_SUM_MAX = float(sum(MAX_POWER))
 
 
 @dataclass(frozen=True)
@@ -313,9 +312,13 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
 
     Mode S: sense at the current power levels, push the FIFO, run the
     navigation network at full width with the matching input mask, pick the
-    next levels (aux actor, `policy` override, or max power; applied at the
-    next acquisition, the first one is max power), step, reward with rho = 1
-    and the freshly emitted levels.
+    next levels (aux actor, `policy` override, or max power; rounded and
+    clipped to MIN_POWER..MAX_POWER, applied at the next acquisition, the
+    first one is max power), step, reward with rho = 1 and the freshly
+    emitted levels.
+
+    Each step logs the mean depths (`worldsim.mean_depths`) of the newest
+    observation, the first OBS_WIDTH entries of the flattened FIFO.
 
     `policy` maps the flattened FIFO to the raw continuous action and
     overrides the aux network. `transition_sink(s, a, r, s2, done)` receives
@@ -342,7 +345,8 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
     pending = None
     outcome = TIMEOUT
     for _ in range(max_steps):
-        x, obs = flight.observe(SensorConfig(powers[0], powers[1], max_range))
+        sensor = SensorConfig(powers[0], powers[1], max_range)
+        x = flight.observe(sensor)
         if pending is not None and transition_sink is not None:
             transition_sink(*pending, x, 0.0)
         pending = None
@@ -356,10 +360,10 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
             m_act = active_params(nav.spec, rho)[0]
         else:
             rho = 1.0
-            in_mask = input_mask_from_power(powers[0], powers[1], layout)
+            in_mask = layout.input_mask(powers[0], powers[1])
             mask = SlimMask(nav.spec, 1.0, active_inputs=in_mask)
-            emitted = (int(np.clip(round(action[0]), 1, 3)),
-                       int(np.clip(round(action[1]), 0, 3)))
+            emitted = (int(np.clip(round(action[0]), MIN_POWER[0], MAX_POWER[0])),
+                       int(np.clip(round(action[1]), MIN_POWER[1], MAX_POWER[1])))
             used_powers = powers
             reward_powers = emitted
             m_act = active_params(nav.spec, 1.0, active_inputs=in_mask)[0]
@@ -368,11 +372,12 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
         state = flight.move(nav.forward(x, mask))
         d = prev_dist - state.goal_distance()
         r = reward(d, state.terminal, rho, reward_powers[0], reward_powers[1], w)
+        mean_f, mean_d = mean_depths(x[:OBS_WIDTH], sensor)
         steps_log.append(EpisodeStep(
             position=state.position.copy(), rho=rho,
             p_f=used_powers[0], p_d=used_powers[1], reward=r,
-            m_active=m_act, mean_forward_depth=obs.mean_forward_depth(),
-            mean_downward_depth=obs.mean_downward_depth()))
+            m_active=m_act, mean_forward_depth=mean_f,
+            mean_downward_depth=mean_d))
         if mode == "S":
             powers = emitted
 
@@ -385,7 +390,7 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
 
     if pending is not None and transition_sink is not None:
         # timed out while active: sense once more to complete the transition
-        x2, _ = flight.observe(SensorConfig(powers[0], powers[1], max_range))
+        x2 = flight.observe(SensorConfig(powers[0], powers[1], max_range))
         transition_sink(*pending, x2, 0.0)
 
     opt_steps = opt_len = None
@@ -447,7 +452,7 @@ class AuxTrainResult:
 def _mode_bounds(mode: str, rho_min: float):
     if mode == "C":
         return np.array([rho_min]), np.array([1.0])
-    return np.array([1.0, 0.0]), np.array([3.0, 3.0])
+    return np.array(MIN_POWER, dtype=float), np.array(MAX_POWER, dtype=float)
 
 
 def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,

@@ -237,6 +237,8 @@ class ExperimentConfig:
             raise ConfigError("eval.buckets must be non-empty with positive episodes")
         if e.heatmap_bin < 1 or e.depth_bin_width <= 0:
             raise ConfigError("eval.heatmap_bin and eval.depth_bin_width must be positive")
+        if not all(0.0 < rho <= 1.0 for rho in e.rho_grid):
+            raise ConfigError(f"eval.rho_grid must lie in (0, 1], got {list(e.rho_grid)}")
         b = self.bench
         if not b.sizes or b.n_observations < 1 or b.repeats < 1:
             raise ConfigError("bench needs sizes, observations, and repeats")

@@ -18,15 +18,10 @@ import numpy as np
 
 from .auxtrain import RewardWeights, run_episode
 from .errors import ConfigError
-from .slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
-                      input_mask_from_power)
+from .slimnet import Adam, Grads, MLPSpec, SlimMask, SlimmableMLP
 from .worldsim import (DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE, DEFAULT_MAX_STEP,
+                       DOWNWARD_LEVELS, FORWARD_LEVELS, MAX_POWER, MIN_POWER,
                        ObservationLayout, REACHED)
-
-POWER_MIN = (1, 0)
-POWER_MAX = (3, 3)
-FORWARD_CHOICES = (1, 2, 3)
-DOWNWARD_CHOICES = (0, 1, 2, 3)
 
 
 @dataclass
@@ -60,8 +55,7 @@ def _mse(y: np.ndarray, t: np.ndarray) -> float:
 def _power_mask(net: SlimmableMLP, p_f: int, p_d: int,
                 layout: ObservationLayout) -> SlimMask:
     """Full width with only the rays of power levels (p_f, p_d) as inputs."""
-    return SlimMask(net.spec, 1.0,
-                    active_inputs=input_mask_from_power(p_f, p_d, layout))
+    return SlimMask(net.spec, 1.0, active_inputs=layout.input_mask(p_f, p_d))
 
 
 def _sandwich(net: SlimmableMLP, x: np.ndarray, targets: np.ndarray,
@@ -96,10 +90,10 @@ def supervised_distillation_S(net: SlimmableMLP, x: np.ndarray,
                               targets: np.ndarray, cfg: DistillConfig,
                               rng, layout: ObservationLayout) -> tuple[Grads, float]:
     """Sandwich gradients for one batch in sensing mode: full power levels
-    vs hard targets, then minimal (1, 0) and random power pairs vs the soft
+    vs hard targets, then minimal and random power pairs vs the soft
     targets, each realized as an input mask at full width."""
-    combos = [POWER_MAX, POWER_MIN] + [(int(rng.choice(FORWARD_CHOICES)),
-                                        int(rng.choice(DOWNWARD_CHOICES)))
+    combos = [MAX_POWER, MIN_POWER] + [(int(rng.choice(FORWARD_LEVELS)),
+                                        int(rng.choice(DOWNWARD_LEVELS)))
                                        for _ in range(cfg.n_random_powers)]
     return _sandwich(net, x, targets,
                      [_power_mask(net, p_f, p_d, layout) for p_f, p_d in combos])
@@ -134,7 +128,7 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
     rng = np.random.default_rng(cfg.seed)
     x_train, y_train = train_ds.fifo_vectors, train_ds.targets
     x_val, y_val = val_ds.fifo_vectors, val_ds.targets
-    full_mask = (_power_mask(net, *POWER_MAX, layout) if mode == "S"
+    full_mask = (_power_mask(net, *MAX_POWER, layout) if mode == "S"
                  else SlimMask(net.spec))
 
     best_val = float("inf")
@@ -180,7 +174,11 @@ def rmse_by_rho(net: SlimmableMLP, ds, rhos=(0.25, 0.5, 0.75, 1.0)) -> dict:
 
 
 def rmse_by_power(net: SlimmableMLP, ds, layout: ObservationLayout,
-                  combos=((1, 0), (2, 1), (3, 2), (3, 3))) -> dict:
+                  combos=tuple((min(p_d + 1, MAX_POWER[0]), p_d)
+                               for p_d in DOWNWARD_LEVELS)) -> dict:
+    """Test RMSE at full width with the input masks of each (p_f, p_d)
+    pair; by default one pair per downward level, each with the forward
+    level one above it (at most the top one)."""
     return {(p_f, p_d): rmse_on_dataset(net, ds, _power_mask(net, p_f, p_d, layout))
             for p_f, p_d in combos}
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import worldsim
 from .errors import ConfigError, LoadError, NoPathError
-from .worldsim import FifoQueue, OBS_WIDTH, SensorConfig, VoxelGrid
+from .worldsim import FifoQueue, MAX_POWER, OBS_WIDTH, SensorConfig, VoxelGrid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -317,8 +317,8 @@ class LabeledDataset:
     fifo_vectors: np.ndarray
     targets: np.ndarray
     depth: int
-    p_f: int = 3
-    p_d: int = 3
+    p_f: int = MAX_POWER[0]
+    p_d: int = MAX_POWER[1]
 
     def __len__(self) -> int:
         return self.fifo_vectors.shape[0]
@@ -361,7 +361,7 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
     in bounded batches (`worldsim.sense_poses`), not one `sense` call each;
     the samples are the same, bit for bit."""
     if sensor is None:
-        sensor = SensorConfig(3, 3)
+        sensor = SensorConfig()
     if jitter < 0:
         raise ConfigError(f"jitter must be >= 0, got {jitter}")
     if jitter > 0 and rng is None:
@@ -434,7 +434,7 @@ def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
     max(60, 5 * spawn-goal distance)). crowd_boost duplicates samples taken
     in crowded voxels, as in label_dataset."""
     if sensor is None:
-        sensor = SensorConfig(3, 3)
+        sensor = SensorConfig()
     crowd_boost = _check_crowd_boost(crowd_boost)
     res = grid.resolution
     hops: dict = {}
@@ -458,7 +458,7 @@ def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
                                  graph.vertical_locked, goal_radius, max_step)
         budget = max_steps or max(60, int(5 * task.distance(res)))
         for _ in range(budget):
-            x, _ = flight.observe(sensor)
+            x = flight.observe(sensor)
             pos = flight.state.position
             v = grid.voxel_of(pos)
             if v != gv:

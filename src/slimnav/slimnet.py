@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LoadError, TrainingError
-from .worldsim import ObservationLayout
 
 WEIGHTS_MAGIC = "NAVISLIM-W v1"
 
@@ -324,13 +323,6 @@ def active_params(spec: MLPSpec, rho: float, active_inputs=None) -> tuple[int, f
     lin = u * q[0] + spec.v * q[-1] + sum(q)
     m_cont = quad * rho**2 + lin * rho + spec.v
     return m, float(m_cont)
-
-
-def input_mask_from_power(p_f: int, p_d: int, layout: ObservationLayout) -> np.ndarray:
-    """Active-input mask for a FIFO of observations acquired at power levels
-    (p_f, p_d): exactly the nested ray positions the sensor acquires, with
-    goal and last-action features always active, tiled across all slots."""
-    return np.tile(layout.slot_mask(p_f, p_d), layout.depth)
 
 
 # optimizers

@@ -2,6 +2,10 @@
 motion with segment collision checks, the observation FIFO, and the
 closed-loop flight that ties sensing, FIFO and motion together.
 
+This is the one module that knows the sensor: its power levels, the rays
+each level acquires, where their depths sit in an observation vector, and
+which network inputs those rays are (`ObservationLayout.input_mask`).
+
 World frame: the grid spans [0, n*resolution) meters on each axis, voxel
 (i, j, k) covers [i*res, (i+1)*res) x ... ; the outermost voxel shell is
 always occupied so the volume is enclosed.
@@ -42,6 +46,9 @@ WORLD_MAGIC = "NAVIWORLD v1"
 
 FORWARD_LEVELS = (1, 2, 3)
 DOWNWARD_LEVELS = (0, 1, 2, 3)
+# the (p_f, p_d) power pairs of the fewest and of the most rays
+MIN_POWER = (min(FORWARD_LEVELS), min(DOWNWARD_LEVELS))
+MAX_POWER = (max(FORWARD_LEVELS), max(DOWNWARD_LEVELS))
 
 
 def forward_level_indices(level: int) -> np.ndarray:
@@ -72,6 +79,10 @@ def downward_level_indices(level: int) -> np.ndarray:
 
 _FORWARD_IDX = {k: forward_level_indices(k) for k in FORWARD_LEVELS}
 _DOWNWARD_IDX = {k: downward_level_indices(k) for k in DOWNWARD_LEVELS}
+# the entries of an observation vector that hold the rays a (p_f, p_d) pair
+# acquires, forward rays first
+_RAY_COLUMNS = {(f, d): np.concatenate([_FORWARD_IDX[f], FORWARD_RAYS + _DOWNWARD_IDX[d]])
+                for f in FORWARD_LEVELS for d in DOWNWARD_LEVELS}
 
 # angular offsets across the square FOV, endpoints included
 _FWD_ANGLES = np.deg2rad(np.linspace(-45.0, 45.0, FORWARD_GRID))
@@ -116,8 +127,12 @@ class VoxelGrid:
         return np.array(self.dims, dtype=float) * self.resolution
 
     def voxel_of(self, point) -> tuple[int, int, int]:
-        v = np.floor(np.asarray(point, dtype=float) / self.resolution).astype(int)
-        return (int(v[0]), int(v[1]), int(v[2]))
+        """Voxel holding `point`, inside the grid or not. ValueError for a
+        non-finite point, which no voxel holds."""
+        x, y, z = (np.asarray(point, dtype=float) / self.resolution).tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"no voxel holds the point {np.asarray(point).tolist()}")
+        return (math.floor(x), math.floor(y), math.floor(z))
 
     def center_of(self, v) -> np.ndarray:
         """Metric centre of voxel `v` (or of each row of an index array);
@@ -127,13 +142,14 @@ class VoxelGrid:
     def in_bounds(self, v) -> bool:
         return all(0 <= v[a] < self.dims[a] for a in range(3))
 
-    def occupied_voxel(self, v) -> bool:
-        if not self.in_bounds(v):
-            return True  # outside the grid counts as solid
-        return bool(self.occupancy[v[0], v[1], v[2]])
-
     def occupied_at(self, point) -> bool:
-        return self.occupied_voxel(self.voxel_of(point))
+        """Whether `point` lies in an occupied voxel. A point outside the
+        grid counts as solid, and so does a non-finite one."""
+        x, y, z = (np.asarray(point, dtype=float) / self.resolution).tolist()
+        nx, ny, nz = self.dims
+        if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):   # NaN fails too
+            return True
+        return bool(self.occupancy[int(x), int(y), int(z)])
 
 
 def generate_world(dims, resolution: float = 1.0, density: float = 0.0,
@@ -275,10 +291,11 @@ class DroneState:
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Depth sensor power levels: forward in {1,2,3}, downward in {0,..,3}."""
+    """Depth sensor power levels: forward in FORWARD_LEVELS, downward in
+    DOWNWARD_LEVELS."""
 
-    p_f: int = 3
-    p_d: int = 3
+    p_f: int = MAX_POWER[0]
+    p_d: int = MAX_POWER[1]
     max_range: float = DEFAULT_MAX_RANGE
 
     def __post_init__(self):
@@ -288,40 +305,6 @@ class SensorConfig:
             raise ConfigError(f"p_d must be in {DOWNWARD_LEVELS}, got {self.p_d}")
         if self.max_range <= 0:
             raise ConfigError(f"max_range must be positive, got {self.max_range}")
-
-
-@dataclass
-class Observation:
-    """One sensing snapshot. Depths are normalized by max_range; entries of
-    unacquired rays are left at 0 and flagged false in the masks."""
-
-    forward_depths: np.ndarray
-    forward_mask: np.ndarray
-    downward_depths: np.ndarray
-    downward_mask: np.ndarray
-    goal_vector: np.ndarray
-    goal_distance: float
-    last_action: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        out = np.empty(OBS_WIDTH)
-        out[:FORWARD_RAYS] = self.forward_depths
-        out[FORWARD_RAYS:FORWARD_RAYS + DOWNWARD_RAYS] = self.downward_depths
-        g = FORWARD_RAYS + DOWNWARD_RAYS
-        out[g:g + 3] = self.goal_vector
-        out[g + 3] = self.goal_distance
-        out[g + 4:] = self.last_action
-        return out
-
-    def mean_forward_depth(self) -> float:
-        if not self.forward_mask.any():
-            return float("nan")
-        return float(self.forward_depths[self.forward_mask].mean())
-
-    def mean_downward_depth(self) -> float:
-        if not self.downward_mask.any():
-            return float("nan")
-        return float(self.downward_depths[self.downward_mask].mean())
 
 
 def _origin_voxels(grid: VoxelGrid, origin: np.ndarray) -> np.ndarray:
@@ -550,7 +533,7 @@ def step(grid: VoxelGrid, state: DroneState, delta,
 def _aim(position, goal, config: SensorConfig):
     """Ray directions at the configured power levels (forward rays first),
     unit goal direction and goal distance of the sensor at `position`
-    aimed as `sense` aims it toward `goal`."""
+    aimed toward `goal`."""
     to_goal = goal - position
     dist = float(np.linalg.norm(to_goal))
     goal_vec = to_goal / dist if dist > 0 else np.zeros(3)
@@ -563,50 +546,36 @@ def _aim(position, goal, config: SensorConfig):
 
 
 def sense(grid: VoxelGrid, state: DroneState, config: SensorConfig,
-          last_action=None) -> Observation:
-    """Acquire depth rays at the configured power levels plus goal features.
-
-    The forward FOV is centered on the horizontal direction toward the goal
-    (falls back to +x when directly above/below). `last_action` is the
-    previous motion command already normalized to [-1, 1].
-    """
+          last_action=None) -> np.ndarray:
+    """The OBS_WIDTH observation vector of the drone at `state`: the
+    one-pose `sense_poses`. `last_action` is the previous motion command
+    already normalized to [-1, 1] (zero if None)."""
     if state.terminal != ACTIVE:
         raise ValueError(f"cannot sense from a terminal state ({state.terminal})")
-    dirs, goal_vec, dist = _aim(state.position, state.goal, config)
-    depths = cast_rays(grid, state.position, dirs, config.max_range) / config.max_range
-
-    f_idx = _FORWARD_IDX[config.p_f]
-    d_idx = _DOWNWARD_IDX[config.p_d]
-    forward = np.zeros(FORWARD_RAYS)
-    fmask = np.zeros(FORWARD_RAYS, dtype=bool)
-    forward[f_idx] = depths[:f_idx.size]
-    fmask[f_idx] = True
-
-    downward = np.zeros(DOWNWARD_RAYS)
-    dmask = np.zeros(DOWNWARD_RAYS, dtype=bool)
-    downward[d_idx] = depths[f_idx.size:]
-    dmask[d_idx] = True
-
-    la = np.zeros(3) if last_action is None else np.asarray(last_action, dtype=float)
-    return Observation(forward_depths=forward, forward_mask=fmask,
-                       downward_depths=downward, downward_mask=dmask,
-                       goal_vector=goal_vec, goal_distance=dist / DISTANCE_SCALE,
-                       last_action=la)
+    last = np.zeros((1, 3)) if last_action is None else [last_action]
+    return sense_poses(grid, state.position[None], state.goal[None], config, last)[0]
 
 
 def sense_poses(grid: VoxelGrid, positions, goals, config: SensorConfig,
                 last_actions) -> np.ndarray:
-    """`sense(...).vector()` at each of P poses, as a (P, OBS_WIDTH) array:
-    row p is sensed at positions[p] toward goals[p], with last_actions[p]
-    as the previous command.
+    """The observation vectors of P poses, as a (P, OBS_WIDTH) array: row p is
+    sensed at positions[p] toward goals[p], with last_actions[p] as the
+    previous command.
+
+    A row holds the depths of the rays acquired at the configured power
+    levels, normalized by max_range (forward rays first, then downward; an
+    unacquired ray's entry is 0), then the unit goal direction, the goal
+    distance over DISTANCE_SCALE, and the last action. The forward FOV is
+    centered on the horizontal direction toward the goal (+x when the goal
+    is straight above or below).
 
     The rays of consecutive poses go to `cast_rays` together, at most
     SENSE_BATCH_RAYS per call (and at least one pose), so the fixed cost
-    of a call is shared while its memory stays bounded."""
+    of a call is shared while its memory stays bounded. A call of one pose
+    casts from its single origin, which is cheaper than one per ray."""
     positions = np.asarray(positions, dtype=float)
-    f_idx = _FORWARD_IDX[config.p_f]
-    d_idx = _DOWNWARD_IDX[config.p_d]
-    rays = f_idx.size + d_idx.size
+    cols = _RAY_COLUMNS[config.p_f, config.p_d]
+    rays = cols.size
     batch = max(1, SENSE_BATCH_RAYS // rays)
     g = FORWARD_RAYS + DOWNWARD_RAYS
     out = np.zeros((len(positions), OBS_WIDTH))
@@ -618,13 +587,22 @@ def sense_poses(grid: VoxelGrid, positions, goals, config: SensorConfig,
             dirs.append(d)
             out[p, g:g + 3] = goal_vec
             out[p, g + 3] = dist / DISTANCE_SCALE
-        depths = cast_rays(grid, np.repeat(positions[lo:hi], rays, axis=0),
-                           np.concatenate(dirs), config.max_range) / config.max_range
-        depths = depths.reshape(hi - lo, rays)
-        out[lo:hi, f_idx] = depths[:, :f_idx.size]
-        out[lo:hi, FORWARD_RAYS + d_idx] = depths[:, f_idx.size:]
+        origin = (positions[lo] if hi - lo == 1
+                  else np.repeat(positions[lo:hi], rays, axis=0))
+        depths = cast_rays(grid, origin, np.concatenate(dirs),
+                           config.max_range) / config.max_range
+        out[lo:hi, cols] = depths.reshape(hi - lo, rays)
     out[:, g + 4:] = last_actions
     return out
+
+
+def mean_depths(obs, config: SensorConfig) -> tuple[float, float]:
+    """Mean normalized depth of the forward and of the downward rays that
+    the observation vector `obs` acquired at `config`'s power levels; the
+    downward mean is nan at a level that acquires no rays."""
+    d_idx = _DOWNWARD_IDX[config.p_d]
+    down = float(obs[FORWARD_RAYS + d_idx].mean()) if d_idx.size else float("nan")
+    return float(obs[_FORWARD_IDX[config.p_f]].mean()), down
 
 
 class FifoQueue:
@@ -676,12 +654,11 @@ class Flight:
         self.goal_radius = goal_radius
         self.max_step = max_step
 
-    def observe(self, config: SensorConfig) -> tuple[np.ndarray, Observation]:
+    def observe(self, config: SensorConfig) -> np.ndarray:
         """Sense at `config`, push the observation, and return the flattened
-        FIFO together with the observation."""
-        obs = sense(self.grid, self.state, config, last_action=self.last_action)
-        self.fifo.push(obs.vector())
-        return self.fifo.flatten(), obs
+        FIFO, whose first OBS_WIDTH entries are that observation."""
+        self.fifo.push(sense(self.grid, self.state, config, last_action=self.last_action))
+        return self.fifo.flatten()
 
     def move(self, motion) -> DroneState:
         """Apply one motion command (clamped as `step` clamps it) and return
@@ -709,9 +686,11 @@ class ObservationLayout:
         """Active-entry mask of a single observation at the given power levels.
         Goal and last-action features are always active."""
         mask = np.zeros(OBS_WIDTH, dtype=bool)
-        mask[_FORWARD_IDX[p_f]] = True
-        d_idx = _DOWNWARD_IDX[p_d]
-        if d_idx.size:
-            mask[FORWARD_RAYS + d_idx] = True
+        mask[_RAY_COLUMNS[p_f, p_d]] = True
         mask[FORWARD_RAYS + DOWNWARD_RAYS:] = True
         return mask
+
+    def input_mask(self, p_f: int, p_d: int) -> np.ndarray:
+        """Active-input mask of a FIFO of observations acquired at (p_f,
+        p_d): the slot mask tiled across all `depth` slots."""
+        return np.tile(self.slot_mask(p_f, p_d), self.depth)

@@ -209,7 +209,7 @@ def test_sense_poses_equals_sense_at_each_pose(monkeypatch, budget):
     for p_f, p_d in ((3, 3), (2, 2), (1, 0), (1, 3)):
         config = SensorConfig(p_f, p_d, max_range=7.0 if p_d == 2 else 100.0)
         got = worldsim.sense_poses(grid, positions, goals, config, lasts)
-        want = [sense(grid, DroneState(position=p, goal=g), config, last_action=a).vector()
+        want = [sense(grid, DroneState(position=p, goal=g), config, last_action=a)
                 for p, g, a in zip(positions, goals, lasts)]
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -289,9 +289,7 @@ def test_sense_equals_two_call_composition(p_f, p_d):
         goal = grid.center_of(free[rng.integers(len(free))])
         config = SensorConfig(p_f, p_d, max_range=float(rng.choice([5.0, 100.0])))
         state = DroneState(position=pos, goal=goal)
-        obs = sense(grid, state, config)
+        v = sense(grid, state, config)
         forward, downward = two_call_sense(grid, state, config)
-        assert obs.forward_depths.tobytes() == forward.tobytes()
-        assert obs.downward_depths.tobytes() == downward.tobytes()
-        assert np.array_equal(np.flatnonzero(obs.forward_mask), forward_level_indices(p_f))
-        assert np.array_equal(np.flatnonzero(obs.downward_mask), downward_level_indices(p_d))
+        assert v[:FORWARD_RAYS].tobytes() == forward.tobytes()
+        assert v[FORWARD_RAYS:FORWARD_RAYS + DOWNWARD_RAYS].tobytes() == downward.tobytes()

@@ -330,6 +330,21 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
     assert run(["gen-world"]) == 4
 
 
+def test_eval_rho_grid_outside_unit_interval_is_config_error(tmp_path, monkeypatch, capsys):
+    # caught before any stage runs, not as a traceback from SlimMask
+    # after every bucket has been flown
+    for grid in ("[0.0, 1.0]", "[0.5, 1.5]", "[nan]"):
+        monkeypatch.setattr(sys, "argv", ["slimnav", "eval", "--set",
+                                          "out_dir=" + str(tmp_path / "run"),
+                                          "--set", "eval.rho_grid=" + grid])
+        with pytest.raises(SystemExit) as e:
+            cli.entry()
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: eval.rho_grid")
+        assert "Traceback" not in err
+
+
 def test_console_script_runs(tmp_path):
     # the console script exists only after an install, so check its wiring
     # in pyproject.toml and run the stages through `python -m slimnav`

@@ -173,16 +173,17 @@ def test_flight_observe_then_move():
     grid = worldsim.generate_world((16, 16, 8), resolution=1.0)
     flight = worldsim.Flight(grid, (8.5, 8.5, 3.5), (12.5, 8.5, 3.5), depth=2,
                              vertical_locked=True)
-    x, obs = flight.observe(worldsim.SensorConfig(1, 0))
-    assert x[:OBS_WIDTH].tobytes() == obs.vector().tobytes()
-    assert not x[OBS_WIDTH:].any() and not obs.last_action.any()  # cold start
+    x = flight.observe(worldsim.SensorConfig(1, 0))
+    assert x[:OBS_WIDTH].tobytes() == worldsim.sense(
+        grid, flight.state, worldsim.SensorConfig(1, 0)).tobytes()
+    assert not x[OBS_WIDTH:].any() and not x[OBS_WIDTH - 3:OBS_WIDTH].any()  # cold start
     # clamped per axis to max_step, z dropped by the vertical lock
     state = flight.move([5.0, -0.5, 3.0])
     assert state is flight.state and state.terminal == worldsim.ACTIVE
     assert np.array_equal(state.position, (10.5, 8.0, 3.5))
     assert np.array_equal(flight.last_action, (1.0, -0.25, 0.0))
-    x2, obs2 = flight.observe(worldsim.SensorConfig(3, 3))
-    assert np.array_equal(obs2.last_action, flight.last_action)
+    x2 = flight.observe(worldsim.SensorConfig(3, 3))
+    assert np.array_equal(x2[OBS_WIDTH - 3:OBS_WIDTH], flight.last_action)
     assert x2[OBS_WIDTH:].tobytes() == x[:OBS_WIDTH].tobytes()   # newest first
 
 

@@ -10,8 +10,8 @@ from slimnav.distill import DistillConfig, train_navigation
 from slimnav.errors import ConfigError, LoadError, TrainingError
 from slimnav.pathoracle import LabeledDataset
 from slimnav.slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
-                             active_params, active_width, input_mask_from_power,
-                             load_weights, save_weights)
+                             active_params, active_width, load_weights,
+                             save_weights)
 from slimnav.worldsim import OBS_WIDTH, ObservationLayout
 
 
@@ -135,7 +135,7 @@ def test_masked_forward_equals_truncated_many_configs():
     for rho in (0.15, 0.4, 0.8, 1.0):
         for powers in ((3, 3), (1, 0), (2, 1)):
             m = SlimMask(spec, rho,
-                         active_inputs=input_mask_from_power(*powers, layout))
+                         active_inputs=layout.input_mask(*powers))
             sub = net.truncated(m)
             assert np.array_equal(net.forward(x, m),
                                   sub.forward(x[:, m.active_inputs]))

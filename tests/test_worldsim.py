@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slimnav.errors import ConfigError, LoadError, SensorError
-from slimnav.worldsim import (ACTIVE, COLLIDED, DOWNWARD_RAYS, DroneState,
-                              FifoQueue, FORWARD_RAYS, OBS_WIDTH,
+from slimnav.worldsim import (ACTIVE, COLLIDED, DOWNWARD_LEVELS, DOWNWARD_RAYS,
+                              DroneState, FifoQueue, FORWARD_LEVELS,
+                              FORWARD_RAYS, MAX_POWER, MIN_POWER, OBS_WIDTH,
                               ObservationLayout, REACHED, SensorConfig,
                               VoxelGrid, cast_rays, clamp_motion,
                               downward_level_indices, forward_level_indices,
-                              generate_world, load_world, save_world,
-                              segment_hits, sense, step)
+                              generate_world, load_world, mean_depths,
+                              save_world, segment_hits, sense, step)
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +69,22 @@ def test_generate_world_rejects_bad_arguments():
 
 def test_voxel_lookups(empty):
     assert empty.voxel_of((1.5, 2.9, 3.0)) == (1, 2, 3)
-    assert empty.occupied_voxel((0, 5, 5))          # shell
-    assert not empty.occupied_voxel((5, 5, 3))
-    assert empty.occupied_voxel((-1, 5, 5))         # out of bounds is solid
+    assert empty.occupied_at(empty.center_of((0, 5, 5)))       # shell
+    assert not empty.occupied_at(empty.center_of((5, 5, 3)))
+    assert empty.occupied_at(empty.center_of((-1, 5, 5)))      # out of bounds is solid
     assert empty.occupied_at((-0.5, 5.0, 5.0))
     assert np.allclose(empty.extent(), (16, 16, 8))
+
+
+def test_non_finite_point_is_solid_and_in_no_voxel(empty):
+    # solid like a point outside the grid, with no warning (warnings fail
+    # the suite); a finite point far outside is solid too
+    for p in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)):
+        assert empty.occupied_at(p)
+        with pytest.raises(ValueError, match="no voxel holds"):
+            empty.voxel_of(p)
+    assert empty.occupied_at((1e300, 5.0, 5.0))
+    assert not empty.occupied_at((5.5, 5.5, 3.5))
 
 
 # --- persistence ---
@@ -233,8 +245,7 @@ def test_sensor_config_validation():
 
 def test_sense_vector_layout(empty):
     s = DroneState(position=(8.0, 8.0, 4.0), goal=(12.0, 8.0, 4.0))
-    obs = sense(empty, s, SensorConfig(3, 3), last_action=(0.1, -0.2, 0.0))
-    v = obs.vector()
+    v = sense(empty, s, SensorConfig(3, 3), last_action=(0.1, -0.2, 0.0))
     assert v.shape == (OBS_WIDTH,)
     assert OBS_WIDTH == FORWARD_RAYS + DOWNWARD_RAYS + 7
     g = FORWARD_RAYS + DOWNWARD_RAYS
@@ -245,13 +256,26 @@ def test_sense_vector_layout(empty):
 
 def test_sense_depths_normalized_and_masked(empty):
     s = DroneState(position=(8.0, 8.0, 4.0), goal=(12.0, 8.0, 4.0))
-    obs = sense(empty, s, SensorConfig(1, 0))
-    assert obs.forward_mask.sum() == 16 and not obs.downward_mask.any()
-    assert np.all(obs.forward_depths[~obs.forward_mask] == 0.0)
-    active = obs.forward_depths[obs.forward_mask]
-    assert np.all((active > 0.0) & (active <= 1.0))
-    assert math.isnan(obs.mean_downward_depth())
-    assert obs.mean_forward_depth() > 0.0
+    v = sense(empty, s, SensorConfig(1, 0))
+    acquired = ObservationLayout(1).slot_mask(1, 0)[:FORWARD_RAYS + DOWNWARD_RAYS]
+    assert acquired[:FORWARD_RAYS].sum() == 16 and not acquired[FORWARD_RAYS:].any()
+    depths = v[:FORWARD_RAYS + DOWNWARD_RAYS]
+    assert np.all(depths[~acquired] == 0.0)
+    assert np.all((depths[acquired] > 0.0) & (depths[acquired] <= 1.0))
+
+
+def test_mean_depths_over_acquired_rays(world):
+    s = DroneState(position=(16.5, 16.5, 4.0), goal=(20.5, 12.5, 4.0))
+    for p_f in FORWARD_LEVELS:
+        for p_d in DOWNWARD_LEVELS:
+            config = SensorConfig(p_f, p_d)
+            v = sense(world, s, config)
+            fwd, down = mean_depths(v, config)
+            assert fwd == v[forward_level_indices(p_f)].mean() > 0.0
+            if p_d == 0:
+                assert math.isnan(down)
+            else:
+                assert down == v[FORWARD_RAYS + downward_level_indices(p_d)].mean() > 0.0
 
 
 def test_sense_forward_fov_tracks_goal_direction(empty):
@@ -264,8 +288,8 @@ def test_sense_forward_fov_tracks_goal_direction(empty):
                    SensorConfig(3, 0))
     away = sense(grid, DroneState(position=pos, goal=(8.5, 2.0, 4.0)),
                  SensorConfig(3, 0))
-    assert toward.forward_depths[toward.forward_mask].min() < 0.04
-    assert away.forward_depths[away.forward_mask].min() > 0.04
+    assert toward[:FORWARD_RAYS].min() < 0.04     # level 3 acquires every forward ray
+    assert away[:FORWARD_RAYS].min() > 0.04
 
 
 def test_sense_rejects_terminal_state(empty):
@@ -309,3 +333,15 @@ def test_observation_layout_masks():
     assert small.sum() == 16 + 7
     assert np.all(full[small])                      # nested
     assert small[FORWARD_RAYS + DOWNWARD_RAYS:].all()  # goal features always on
+    assert layout.slot_mask(*MIN_POWER).tobytes() == small.tobytes()
+    assert layout.slot_mask(*MAX_POWER).tobytes() == full.tobytes()
+
+
+def test_input_mask_tiles_slot_mask():
+    layout = ObservationLayout(3)
+    pairs = [(p_f, p_d) for p_f in FORWARD_LEVELS for p_d in DOWNWARD_LEVELS]
+    assert len(pairs) == 12
+    for p_f, p_d in pairs:
+        got = layout.input_mask(p_f, p_d)
+        assert got.shape == (layout.total_width,) and got.dtype == bool
+        assert np.array_equal(got, np.tile(layout.slot_mask(p_f, p_d), layout.depth))
