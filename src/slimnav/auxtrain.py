@@ -125,6 +125,15 @@ class TD3Config:
             raise ConfigError(f"policy_delay must be >= 1, got {self.policy_delay}")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
             raise ConfigError("buffer must hold at least one batch")
+        for name in ("action_noise_std", "target_noise_std", "target_noise_clip",
+                     "exploration_steps"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.lr_actor <= 0 or self.lr_critic <= 0:
+            raise ConfigError("lr_actor and lr_critic must be positive")
+        if self.max_episode_steps < 1:
+            raise ConfigError(f"max_episode_steps must be >= 1, "
+                              f"got {self.max_episode_steps}")
 
 
 class TD3Agent:
@@ -231,6 +240,19 @@ class AuxConfig(TD3Config):
     gate_episodes: int = 20
     gate_distance: float | None = 20.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("eval_every_episodes", "eval_episodes", "gate_episodes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.gate_distance is not None and self.gate_distance <= 0:
+            raise ConfigError(f"gate_distance must be positive, got {self.gate_distance}")
+        for name in ("actor_hidden", "critic_hidden"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ConfigError(f"{name} must be non-empty positive widths, "
+                                  f"got {list(widths)}")
+
 
 @dataclass(frozen=True)
 class Curriculum:
@@ -281,10 +303,6 @@ class EpisodeLog:
     @property
     def path_steps(self) -> int:
         return len(self.steps)
-
-    @property
-    def rewards(self) -> list:
-        return [s.reward for s in self.steps]
 
     def mean_rho(self) -> float:
         return float(np.mean([s.rho for s in self.steps]))

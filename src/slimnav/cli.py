@@ -45,13 +45,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distill, pathoracle, worldsim
-from .auxtrain import (AuxConfig, ConstraintConfig, Curriculum, EpisodeStep,
-                       EpisodeLog, RewardWeights, compute_eta, format_percent,
-                       run_episode, train_auxiliary)
+from .auxtrain import (TIMEOUT, AuxConfig, ConstraintConfig, Curriculum,
+                       EpisodeStep, EpisodeLog, RewardWeights, compute_eta,
+                       format_percent, run_episode, train_auxiliary)
 from .errors import ConfigError, ConstraintViolation, DependencyError, LoadError
 from .pathoracle import TaskSampler, build_graph, partition_regions
 from .slimnet import MLPSpec, SlimMask, SlimmableMLP, load_weights, save_weights
-from .worldsim import MIN_DIMS, OBS_WIDTH, REACHED, SensorConfig, VoxelGrid
+from .worldsim import (COLLIDED, MIN_DIMS, OBS_WIDTH, REACHED, SensorConfig,
+                       VoxelGrid)
 
 # artifact file names, relative to the output directory
 CONFIG_FILE = "config.json"
@@ -374,6 +375,17 @@ def _load_nav(cfg: ExperimentConfig) -> SlimmableMLP:
     return net
 
 
+def _load_actor(cfg: ExperimentConfig) -> SlimmableMLP:
+    """The trained auxiliary actor, refused unless it reads the FIFO and
+    emits the mode's action: rho (C) or the two power levels (S)."""
+    net = _load(cfg, AUX_ACTOR_FILE, "train-aux", load_weights)
+    if (net.spec.u, net.spec.v) != (cfg.sensor.fifo_depth * OBS_WIDTH,
+                                    1 if cfg.mode == "C" else 2):
+        raise DependencyError(f"{_artifact(cfg, AUX_ACTOR_FILE)} holds a "
+                              f"different network shape; rerun train-aux")
+    return net
+
+
 def write_csv(path: str, header: str, rows, config_hash: str) -> None:
     lines = [f"# config={config_hash}", header]
     lines.extend(rows)
@@ -382,14 +394,26 @@ def write_csv(path: str, header: str, rows, config_hash: str) -> None:
 
 
 def read_csv(path: str, expected_hash: str) -> tuple[list[str], list[list[str]]]:
-    """Returns (header columns, rows) after validating the config hash."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
+    """Returns (header columns, rows) after validating the config hash, the
+    column header and each row's field count."""
+    try:
+        with open(path) as f:
+            lines = [ln.rstrip("\n") for ln in f]
+    except UnicodeDecodeError as e:
+        raise LoadError(f"{path}: not a text file: {e}") from e
     if not lines or not lines[0].startswith("# config="):
         raise LoadError(f"{path}: missing config header line")
     _check_hash(path, lines[0][len("# config="):], expected_hash)
+    if len(lines) < 2 or not lines[1]:
+        raise LoadError(f"{path}: missing column header line")
     header = lines[1].split(",")
-    rows = [ln.split(",") for ln in lines[2:] if ln]
+    rows = []
+    for n, ln in enumerate(lines[2:], start=3):
+        if ln:
+            rows.append(ln.split(","))
+            if len(rows[-1]) != len(header):
+                raise LoadError(f"{path}: line {n} has {len(rows[-1])} fields, "
+                                f"the header {len(header)}")
     return header, rows
 
 
@@ -542,22 +566,42 @@ def _episode_rows(logs, start_id: int = 0):
     return rows
 
 
-def _logs_from_rows(rows) -> list[EpisodeLog]:
-    """Rebuild per-episode logs (the fields reports need) from CSV rows."""
+def _episode_row(r: list[str]) -> tuple[int, int, EpisodeStep, str, int]:
+    """(episode id, t, step, outcome, optimal steps) of one episode CSV row;
+    ValueError on a field that does not parse, a non-finite number, rho
+    outside (0, 1], a power level the sensor lacks or an unknown outcome."""
+    ep, t, p_f, p_d, m_active, opt = (int(r[i]) for i in (0, 1, 6, 7, 9, 12))
+    x, y, z, rho, rew, depth = (float(r[i]) for i in (2, 3, 4, 5, 8, 10))
+    if not all(math.isfinite(v) for v in (x, y, z, rho, rew, depth)):
+        raise ValueError("non-finite number")
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho {rho} outside (0, 1]")
+    if p_f not in worldsim.FORWARD_LEVELS or p_d not in worldsim.DOWNWARD_LEVELS:
+        raise ValueError(f"power levels ({p_f}, {p_d}) outside the sensor's")
+    if r[11] not in (REACHED, COLLIDED, TIMEOUT):
+        raise ValueError(f"unknown outcome {r[11]!r}")
+    step = EpisodeStep(position=np.array([x, y, z]), rho=rho, p_f=p_f, p_d=p_d,
+                       reward=rew, m_active=m_active, mean_forward_depth=depth,
+                       mean_downward_depth=0.0)
+    return ep, t, step, r[11], opt
+
+
+def _logs_from_rows(rows, path: str) -> list[EpisodeLog]:
+    """Rebuild per-episode logs (the fields reports need) from the rows of
+    the episode CSV `path`; LoadError on a row `_episode_row` rejects."""
     by_ep: dict[int, list] = {}
-    for r in rows:
-        by_ep.setdefault(int(r[0]), []).append(r)
+    for n, r in enumerate(rows, start=1):
+        try:
+            parsed = _episode_row(r)
+        except ValueError as e:
+            raise LoadError(f"{path}: episode row {n}: {e}") from e
+        by_ep.setdefault(parsed[0], []).append(parsed)
     logs = []
     for ep in sorted(by_ep):
-        rs = sorted(by_ep[ep], key=lambda r: int(r[1]))
-        steps = [EpisodeStep(
-            position=np.array([float(r[2]), float(r[3]), float(r[4])]),
-            rho=float(r[5]), p_f=int(r[6]), p_d=int(r[7]),
-            reward=float(r[8]), m_active=int(r[9]),
-            mean_forward_depth=float(r[10]), mean_downward_depth=0.0)
-            for r in rs]
-        opt = int(rs[0][12])
-        logs.append(EpisodeLog(steps=steps, outcome=rs[0][11],
+        rs = sorted(by_ep[ep], key=lambda p: p[1])
+        steps = [p[2] for p in rs]
+        _, _, _, outcome, opt = rs[0]
+        logs.append(EpisodeLog(steps=steps, outcome=outcome,
                                spawn=steps[0].position, goal=steps[-1].position,
                                optimal_steps=None if opt < 0 else opt))
     return logs
@@ -613,6 +657,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     write_config_copy(cfg)
     grid = _load(cfg, WORLD_FILE, "gen-world", worldsim.load_world)
     nav = _load_nav(cfg)
+    actor = _load_actor(cfg)
     sampler = _build_sampler(cfg, grid)
     e = cfg.eval
     chash = cfg.config_hash()
@@ -656,7 +701,6 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     write_csv(_artifact(cfg, EVAL_RMSE_FILE), header, rows, chash)
 
     # adaptation episodes with the trained auxiliary policy
-    actor = _load(cfg, AUX_ACTOR_FILE, "train-aux", load_weights)
     # run_episode draws no random numbers, so the tasks are drawn up front
     tasks = _draw_tasks(sampler, "test", [e.adapt_distance], e.adapt_episodes,
                         e.adapt_episodes, rng, e.sample_tolerance)
@@ -696,8 +740,11 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     copy_csv(_require(cfg, EVAL_RMSE_FILE, "eval"), "rmse")
 
     # adaptation tables need the episode logs
-    _, ep_rows = read_csv(_require(cfg, EVAL_EPISODES_FILE, "eval"), chash)
-    logs = _logs_from_rows(ep_rows)
+    ep_path = _require(cfg, EVAL_EPISODES_FILE, "eval")
+    ep_header, ep_rows = read_csv(ep_path, chash)
+    if ",".join(ep_header) != EPISODE_COLUMNS:
+        raise LoadError(f"{ep_path}: columns are not {EPISODE_COLUMNS}")
+    logs = _logs_from_rows(ep_rows, ep_path)
     ok_logs = [l for l in logs if l.outcome == REACHED]
 
     def group_means(key) -> list:
@@ -748,18 +795,16 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _bench_policy_rhos(cfg: ExperimentConfig, obs: np.ndarray) -> np.ndarray:
-    """Slimming factors the benchmark runs at: the trained auxiliary actor's
-    outputs when its weights exist, otherwise a fresh seeded actor."""
+def _bench_actor(cfg: ExperimentConfig) -> SlimmableMLP:
+    """The auxiliary actor the benchmark times and takes its slimming
+    factors from: the trained one when its weights exist, otherwise a fresh
+    seeded actor of the bench section's widths."""
     if os.path.exists(_artifact(cfg, AUX_ACTOR_FILE)):
-        actor = _load(cfg, AUX_ACTOR_FILE, "train-aux", load_weights)
-    else:
-        spec = MLPSpec(u=obs.shape[1], q=cfg.bench.aux_hidden, v=1,
-                       output_activation="bounded",
-                       output_low=(cfg.nav.rho_min,), output_high=(1.0,))
-        actor = SlimmableMLP(spec, seed=cfg.bench.seed)
-    return np.array([float(np.clip(actor.forward(x)[0], cfg.nav.rho_min, 1.0))
-                     for x in obs])
+        return _load_actor(cfg)
+    spec = MLPSpec(u=cfg.sensor.fifo_depth * OBS_WIDTH, q=cfg.bench.aux_hidden,
+                   v=1, output_activation="bounded",
+                   output_low=(cfg.nav.rho_min,), output_high=(1.0,))
+    return SlimmableMLP(spec, seed=cfg.bench.seed)
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
@@ -771,11 +816,9 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(b.seed)
     n_in = cfg.sensor.fifo_depth * OBS_WIDTH
     obs = rng.uniform(0.0, 1.0, size=(b.n_observations, n_in))
-    rhos = _bench_policy_rhos(cfg, obs)
-    aux_spec = MLPSpec(u=n_in, q=b.aux_hidden, v=1,
-                       output_activation="bounded",
-                       output_low=(cfg.nav.rho_min,), output_high=(1.0,))
-    aux = SlimmableMLP(aux_spec, seed=b.seed)
+    aux = _bench_actor(cfg)
+    rhos = np.array([float(np.clip(aux.forward(x)[0], cfg.nav.rho_min, 1.0))
+                     for x in obs])
     rows = []
     for size in b.sizes:
         spec = MLPSpec(u=n_in, q=size, v=3,

@@ -42,6 +42,8 @@ class DistillConfig:
             raise ConfigError("random draw counts must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
 
 
 def _mse_grad(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -105,7 +107,6 @@ class TrainReport:
     val_losses: list
     best_epoch: int
     stopped_epoch: int
-    seed: int = 0
 
 
 def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
@@ -160,8 +161,7 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
     if best_weights is not None:
         net.params[:] = best_weights
     return net, TrainReport(train_losses=train_losses, val_losses=val_losses,
-                            best_epoch=best_epoch, stopped_epoch=stopped,
-                            seed=cfg.seed)
+                            best_epoch=best_epoch, stopped_epoch=stopped)
 
 
 def rmse_on_dataset(net: SlimmableMLP, ds, mask: SlimMask | None = None) -> float:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,9 +53,12 @@ class MLPSpec:
     output_high: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(x) for x in self.q))
-        if self.u < 1 or self.v < 1 or len(self.q) < 1 or any(x < 1 for x in self.q):
-            raise ConfigError(f"invalid layer widths u={self.u} q={self.q} v={self.v}")
+        q = tuple(self.q)
+        if not q or not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                            and n >= 1 for n in (self.u, self.v, *q)):
+            raise ConfigError(f"invalid layer widths u={self.u!r} q={q!r} v={self.v!r}: "
+                              f"need positive integers")
+        object.__setattr__(self, "q", tuple(int(x) for x in q))
         if self.hidden_activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in _OUTPUTS:
@@ -95,26 +99,37 @@ def _layer_views(params: np.ndarray, spec: MLPSpec) -> tuple[list, list]:
     return weights, biases
 
 
+def _checked_inputs(spec: MLPSpec, rho: float,
+                    active_inputs) -> tuple[np.ndarray | None, int]:
+    """The boolean input mask (None: every input) and its active count,
+    after the checks of rho and of the mask that SlimMask and active_params
+    share."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    if active_inputs is None:
+        return None, spec.u
+    active_inputs = np.asarray(active_inputs, dtype=bool)
+    if active_inputs.shape != (spec.u,):
+        raise ValueError(f"input mask must have shape ({spec.u},)")
+    n = int(np.count_nonzero(active_inputs))
+    if n == 0:
+        raise ValueError("input mask deactivates every input")
+    return active_inputs, n
+
+
 class SlimMask:
     """Active sub-network selection: slimming factor rho (prefix of each
     hidden layer) plus a boolean input mask."""
 
     def __init__(self, spec: MLPSpec, rho: float = 1.0, active_inputs=None):
-        if not 0.0 < rho <= 1.0:
-            raise ValueError(f"rho must be in (0, 1], got {rho}")
+        active_inputs, n = _checked_inputs(spec, rho, active_inputs)
         self.rho = float(rho)
         self.active_hidden = tuple(active_width(rho, qi) for qi in spec.q)
         if active_inputs is None:
             active_inputs = np.ones(spec.u, dtype=bool)
-        else:
-            active_inputs = np.asarray(active_inputs, dtype=bool)
-            if active_inputs.shape != (spec.u,):
-                raise ValueError(f"input mask must have shape ({spec.u},)")
-            if not active_inputs.any():
-                raise ValueError("input mask deactivates every input")
         self.active_inputs = active_inputs
         # None means "all active": lets the forward pass take slice views
-        self.input_index = None if active_inputs.all() else np.flatnonzero(active_inputs)
+        self.input_index = None if n == spec.u else np.flatnonzero(active_inputs)
 
 
 class Grads:
@@ -169,44 +184,45 @@ class SlimmableMLP:
 
     # forward / backward
 
+    def _active_layers(self, mask: SlimMask) -> list:
+        """The active sub-network, one (rows, h, W, b) per layer: the block
+        weights[i][rows, :h] (rows: the input index, all rows or the previous
+        layer's prefix) copied C-contiguous like a truncated net's matrices,
+        so masked and truncated outputs match bit for bit, and the bias b."""
+        rows = slice(None) if mask.input_index is None else mask.input_index
+        layers = []
+        for W, b, h in zip(self.weights, self.biases, mask.active_hidden + (self.spec.v,)):
+            layers.append((rows, h, np.ascontiguousarray(W[rows, :h]), b[:h]))
+            rows = slice(h)
+        return layers
+
     def forward(self, x, mask: SlimMask | None = None, return_cache: bool = False):
-        spec = self.spec
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         a = x[None, :] if single else x
-        if a.ndim != 2 or a.shape[1] != spec.u:
-            raise ValueError(f"expected input width {spec.u}, got shape {x.shape}")
+        if a.ndim != 2 or a.shape[1] != self.spec.u:
+            raise ValueError(f"expected input width {self.spec.u}, got shape {x.shape}")
         if mask is None:
-            mask = SlimMask(spec)
-        idx = mask.input_index
-        if idx is not None:
-            a = a[:, idx]
+            mask = SlimMask(self.spec)
+        if mask.input_index is not None:
+            a = a[:, mask.input_index]
         # canonical memory layout: matmul accumulation order must not depend
         # on how the caller sliced the batch or on the input slice above
         a = np.ascontiguousarray(a)
-        widths = mask.active_hidden
+        layers = self._active_layers(mask)
+        *hidden, (_, _, W, b) = layers
         zs, acts = [], [a]
-        for i, h in enumerate(widths):
-            W, b = self.weights[i], self.biases[i]
-            if i == 0:
-                Wa = W[idx][:, :h] if idx is not None else W[:, :h]
-            else:
-                Wa = W[:widths[i - 1], :h]
-            # contiguous like a truncated copy's matrices, so the matmul
-            # accumulates in the same order and the outputs match bit for bit
-            z = a @ np.ascontiguousarray(Wa) + b[:h]
+        for _, _, Wh, bh in hidden:
+            z = a @ Wh + bh
             zs.append(z)
             a = np.maximum(z, 0.0)
             acts.append(a)
-        W, b = self.weights[-1], self.biases[-1]
-        z = a @ W[:widths[-1], :] + b
-        y, out_aux = self._apply_output(z)
+        y, out_aux = self._apply_output(a @ W + b)
         if single:
             y = y[0]
         if not return_cache:
             return y
-        cache = (mask, zs, acts, out_aux, single)
-        return y, cache
+        return y, (layers, zs, acts, out_aux, single)
 
     def _apply_output(self, z):
         spec = self.spec
@@ -220,10 +236,10 @@ class SlimmableMLP:
         return lo + 0.5 * (t + 1.0) * (hi - lo), t
 
     def backward(self, cache, grad_output) -> Grads:
-        """Gradients of a scalar loss given d(loss)/d(output). Severed
-        parameters receive exactly zero gradient."""
+        """Gradients of a scalar loss given d(loss)/d(output), through the
+        forward's active blocks; severed parameters get exactly zero."""
         spec = self.spec
-        mask, zs, acts, out_aux, single = cache
+        layers, zs, acts, out_aux, single = cache
         g = np.asarray(grad_output, dtype=float)
         if single:
             g = g[None, :]
@@ -237,62 +253,30 @@ class SlimmableMLP:
             dz = g * 0.5 * (hi - lo) * (1.0 - out_aux**2)
 
         grads = Grads(spec)
-        dW, db = grads.weights, grads.biases
-        widths = mask.active_hidden
-        idx = mask.input_index
+        for i in range(len(layers) - 1, -1, -1):
+            rows, h, W, _ = layers[i]
+            grads.weights[i][rows, :h] = acts[i].T @ dz
+            grads.biases[i][:h] = dz.sum(axis=0)
+            da = dz @ W.T
+            if i:
+                dz = da * (zs[i - 1] > 0)
 
-        h_last = widths[-1]
-        dW[-1][:h_last, :] = acts[-1].T @ dz
-        db[-1][:] = dz.sum(axis=0)
-        da = dz @ self.weights[-1][:h_last, :].T
-
-        for i in range(len(widths) - 1, -1, -1):
-            h = widths[i]
-            dz = da * (zs[i] > 0)
-            if i == 0:
-                if idx is not None:
-                    dW[0][np.ix_(idx, np.arange(h))] = acts[0].T @ dz
-                    Wa = self.weights[0][idx][:, :h]
-                else:
-                    dW[0][:, :h] = acts[0].T @ dz
-                    Wa = self.weights[0][:, :h]
-            else:
-                hp = widths[i - 1]
-                dW[i][:hp, :h] = acts[i].T @ dz
-                Wa = self.weights[i][:hp, :h]
-            db[i][:h] = dz.sum(axis=0)
-            da = dz @ Wa.T
-
-        if idx is not None:
+        idx, dx = layers[0][0], da
+        if not isinstance(idx, slice):      # zero on the masked-out inputs
             dx = np.zeros((da.shape[0], spec.u))
             dx[:, idx] = da
-        else:
-            dx = da
         grads.inputs = dx[0] if single else dx
         return grads
 
     def truncated(self, mask: SlimMask) -> "SlimmableMLP":
         """Physically truncated copy: weight matrices sliced to the active
         sub-network, no masking left."""
-        spec = self.spec
-        u = spec.u if mask.input_index is None else int(mask.input_index.size)
-        sub_spec = MLPSpec(u=u, q=mask.active_hidden, v=spec.v,
-                           hidden_activation=spec.hidden_activation,
-                           output_activation=spec.output_activation,
-                           output_scale=spec.output_scale,
-                           output_low=spec.output_low, output_high=spec.output_high)
-        net = SlimmableMLP(sub_spec, seed=self.seed, init=False)
-        widths = mask.active_hidden
-        for i, h in enumerate(widths):
-            W = self.weights[i]
-            if i == 0:
-                Wa = W[mask.input_index][:, :h] if mask.input_index is not None else W[:, :h]
-            else:
-                Wa = W[:widths[i - 1], :h]
-            net.weights[i][:] = Wa
-            net.biases[i][:] = self.biases[i][:h]
-        net.weights[-1][:] = self.weights[-1][:widths[-1], :]
-        net.biases[-1][:] = self.biases[-1]
+        layers = self._active_layers(mask)
+        spec = replace(self.spec, u=layers[0][2].shape[0], q=mask.active_hidden)
+        net = SlimmableMLP(spec, seed=self.seed, init=False)
+        for W, b, (_, _, Wa, ba) in zip(net.weights, net.biases, layers):
+            W[:] = Wa
+            b[:] = ba
         return net
 
 
@@ -304,16 +288,8 @@ def active_params(spec: MLPSpec, rho: float, active_inputs=None) -> tuple[int, f
       (sum_i q_i q_{i+1}) rho^2 + (u q_1 + v q_l + sum_i q_i) rho + v.
     The two agree whenever every rho * q_i is an integer.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    _, u = _checked_inputs(spec, rho, active_inputs)
     q = spec.q
-    if active_inputs is None:
-        u = spec.u
-    else:
-        active_inputs = np.asarray(active_inputs, dtype=bool)
-        if active_inputs.shape != (spec.u,):
-            raise ValueError(f"input mask must have shape ({spec.u},)")
-        u = int(np.count_nonzero(active_inputs))
     hs = [active_width(rho, qi) for qi in q]
     m = u * hs[0] + hs[0]
     for i in range(len(hs) - 1):

@@ -91,6 +91,20 @@ def test_td3_config_validation():
         TD3Config(policy_delay=0)
     with pytest.raises(ConfigError):
         TD3Config(batch_size=256, buffer_capacity=128)
+    for bad in (dict(action_noise_std=-0.1), dict(target_noise_std=-0.2),
+                dict(target_noise_clip=-0.5), dict(lr_actor=0.0),
+                dict(lr_critic=-1e-3), dict(exploration_steps=-1),
+                dict(max_episode_steps=0)):
+        with pytest.raises(ConfigError):
+            TD3Config(**bad)
+    # AuxConfig runs TD3Config's checks and its own
+    for bad in (dict(action_noise_std=-0.1), dict(eval_every_episodes=0),
+                dict(eval_episodes=0), dict(gate_episodes=0),
+                dict(gate_distance=0.0), dict(actor_hidden=()),
+                dict(critic_hidden=(0,)), dict(critic_hidden=(64, -1))):
+        with pytest.raises(ConfigError):
+            AuxConfig(**bad)
+    AuxConfig(gate_distance=None, exploration_steps=0)
 
 
 def test_actor_respects_action_bounds():
@@ -272,7 +286,7 @@ def test_run_episode_transition_chain(small_world):
         assert not np.array_equal(s, s2)     # freshly sensed terminal state
     else:
         assert done == 1.0
-    assert [t[2] for t in transitions] == log.rewards
+    assert [t[2] for t in transitions] == [s.reward for s in log.steps]
 
 
 def test_run_episode_vertical_lock(small_world):

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -125,6 +126,19 @@ def test_from_dict_converts_lists_to_tuples():
     {"nav": {"patience": 0}},
     {"curriculum": {"threshold": 0.0}},
     {"curriculum": {"start": 50.0}},
+    # checks of TD3Config, AuxConfig and DistillConfig
+    {"aux": {"eval_every_episodes": 0}},
+    {"aux": {"action_noise_std": -0.1}},
+    {"aux": {"gate_episodes": 0}},
+    {"aux": {"critic_hidden": [0]}},
+    {"aux": {"actor_hidden": []}},
+    {"aux": {"eval_episodes": 0}},
+    {"aux": {"gate_distance": 0.0}},
+    {"aux": {"target_noise_clip": -0.5}},
+    {"aux": {"lr_critic": 0.0}},
+    {"aux": {"exploration_steps": -1}},
+    {"aux": {"max_episode_steps": 0}},
+    {"nav": {"lr": 0.0}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
@@ -230,6 +244,29 @@ def test_csv_missing_header_line(tmp_path):
         read_csv(str(path), "f00d")
 
 
+def test_csv_missing_column_header(tmp_path):
+    path = tmp_path / "t.csv"
+    for text in ("# config=f00d\n", "# config=f00d\n\n1,2\n"):
+        path.write_text(text)
+        with pytest.raises(LoadError, match="column header"):
+            read_csv(str(path), "f00d")
+
+
+def test_csv_rejects_bytes_that_are_not_text(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"# config=f00d\na,b\n\xff\xfe,1\n")
+    with pytest.raises(LoadError):
+        read_csv(str(path), "f00d")
+
+
+def test_csv_rejects_rows_of_another_width(tmp_path):
+    path = str(tmp_path / "t.csv")
+    for row in ("1", "1,2,3"):
+        write_csv(path, "a,b", ["1,2", row], "f00d")
+        with pytest.raises(LoadError, match="line 4"):
+            read_csv(path, "f00d")
+
+
 def test_fmt():
     assert cli._fmt(0.1) == "0.1"
     assert cli._fmt(1.0 / 3.0) == "0.3333333333"
@@ -256,7 +293,7 @@ def test_episode_rows_round_trip():
     logs = [_toy_log("reached", 7), _toy_log("timeout", None)]
     rows = [r.split(",") for r in cli._episode_rows(logs)]
     assert len(rows) == 4
-    back = cli._logs_from_rows(rows)
+    back = cli._logs_from_rows(rows, "episodes.csv")
     assert len(back) == 2
     assert back[0].outcome == "reached"
     assert back[0].optimal_steps == 7
@@ -273,15 +310,55 @@ def test_episode_rows_round_trip():
     assert got.mean_forward_depth == pytest.approx(orig.mean_forward_depth)
 
 
+# one corruption of the first data row per case (column index, text)
+BAD_EPISODE_FIELDS = [
+    (6, "x"),           # p_f does not parse
+    (0, "1.5"),         # episode id is not an integer
+    (5, "nan"),         # rho
+    (2, "inf"),         # x position
+    (5, "1.5"),         # rho above 1
+    (5, "0"),           # rho at 0
+    (6, "4"),           # forward power level the sensor lacks
+    (7, "-1"),          # downward power level the sensor lacks
+    (11, "lost"),       # outcome
+]
+
+
+@pytest.mark.parametrize("col,text", BAD_EPISODE_FIELDS)
+def test_logs_from_rows_rejects_bad_fields(col, text):
+    rows = [r.split(",") for r in cli._episode_rows([_toy_log("reached", 7)])]
+    rows[0][col] = text
+    with pytest.raises(LoadError, match="episodes.csv: episode row 1"):
+        cli._logs_from_rows(rows, "episodes.csv")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
+def _entry_code(monkeypatch, argv) -> int:
+    monkeypatch.setattr(sys, "argv", ["slimnav"] + argv)
+    with pytest.raises(SystemExit) as e:
+        cli.entry()
+    return e.value.code
+
+
+@pytest.mark.parametrize("override", [
+    "aux.eval_every_episodes=0", "aux.action_noise_std=-0.1",
+    "aux.gate_episodes=0", "aux.critic_hidden=[0]"])
+def test_aux_values_that_failed_late_are_config_errors(tmp_path, monkeypatch,
+                                                       capsys, override):
+    for stage in ("gen-world", "train-aux"):
+        code = _entry_code(monkeypatch, [stage, "--set", f"out_dir={tmp_path}",
+                                         "--set", override])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("configuration error: aux")
+        assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []   # refused before any stage ran
+
+
 def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
     def run(argv):
-        monkeypatch.setattr(sys, "argv", ["slimnav"] + argv)
-        with pytest.raises(SystemExit) as e:
-            cli.entry()
-        return e.value.code
+        return _entry_code(monkeypatch, argv)
 
     out = str(tmp_path / "run")
     # config error
@@ -663,6 +740,61 @@ PIPELINE_DIGESTS = {
     },
 }
 UNPINNED_ARTIFACTS = {CONFIG_FILE, BENCH_FILE, REPORT_FILES["timing"]}
+
+
+@pytest.mark.parametrize("case", ["cut", "p_f", "rho", "header_only",
+                                  "columns"])
+def test_report_rejects_corrupt_episode_csv(mini_c, tmp_path, monkeypatch,
+                                            capsys, case):
+    cfg, _, cfg_path = mini_c
+    out = str(tmp_path)
+    for name in (NAV_WEIGHTS_FILE, EVAL_SUCCESS_FILE, EVAL_RMSE_FILE,
+                 EVAL_EPISODES_FILE):
+        shutil.copy(os.path.join(cfg.out_dir, name), out)
+    path = os.path.join(out, EVAL_EPISODES_FILE)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    row = lines[2].split(",")
+    if case == "cut":
+        lines[2] = ",".join(row[:8])
+    elif case == "p_f":
+        lines[2] = ",".join(row[:6] + ["x"] + row[7:])
+    elif case == "rho":
+        lines[2] = ",".join(row[:5] + ["nan"] + row[6:])
+    elif case == "header_only":
+        lines = lines[:1]
+    else:
+        lines[1] = lines[1].replace("p_f,p_d", "p_d,p_f")
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    code = _entry_code(monkeypatch, ["report", "--config", cfg_path,
+                                     "--set", "out_dir=" + out])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(f"dependency error: {path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode,u,v", [("C", 10, 1), ("C", None, 2),
+                                      ("S", None, 1)])
+def test_actor_of_another_shape_is_refused(tmp_path, monkeypatch, capsys,
+                                           mode, u, v):
+    small = ["--set", f"out_dir={tmp_path}", "--set", "world.dims=[16,16,8]",
+             "--set", f"mode={mode}"]
+    cfg = load_config(None, small[1::2])
+    assert _entry_code(monkeypatch, ["gen-world", *small]) == 0
+    slimnet.save_weights(slimnet.SlimmableMLP(cfg.nav_spec()),
+                         os.path.join(cfg.out_dir, NAV_WEIGHTS_FILE),
+                         config_hash=cfg.config_hash())
+    actor = slimnet.SlimmableMLP(slimnet.MLPSpec(u=u or cfg.nav_spec().u,
+                                                 q=(4,), v=v))
+    slimnet.save_weights(actor, os.path.join(cfg.out_dir, AUX_ACTOR_FILE),
+                         config_hash=cfg.config_hash())
+    capsys.readouterr()
+    for stage in ("eval", "bench"):
+        assert _entry_code(monkeypatch, [stage, *small]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("dependency error") and AUX_ACTOR_FILE in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["C", "S"])

@@ -46,6 +46,8 @@ def test_config_validation():
         DistillConfig(batch_size=0)
     with pytest.raises(ConfigError):
         DistillConfig(patience=0)
+    with pytest.raises(ConfigError):
+        DistillConfig(lr=0.0)
 
 
 def test_train_rejects_bad_mode_and_empty_data(toy):

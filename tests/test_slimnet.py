@@ -12,7 +12,9 @@ from slimnav.pathoracle import LabeledDataset
 from slimnav.slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
                              active_params, active_width, load_weights,
                              save_weights)
-from slimnav.worldsim import OBS_WIDTH, ObservationLayout
+from slimnav.worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, OBS_WIDTH,
+                              ObservationLayout)
+from slim_reference import reference_backward, reference_forward
 
 
 def small_spec(**kw):
@@ -43,6 +45,12 @@ def test_spec_validation():
                     output_low=(lo,), output_high=(hi,))
     MLPSpec(u=2, q=(4,), v=1, output_activation="bounded",
             output_low=(0.25,), output_high=(1.0,))
+    # widths are integers, bools excluded; numpy integers are integers
+    for bad in (dict(u=2.5), dict(u=True), dict(v=np.bool_(True)),
+                dict(q=(2.5,)), dict(q=("2",)), dict(q=(True, 4))):
+        with pytest.raises(ConfigError):
+            MLPSpec(**{**dict(u=2, q=(4,), v=1), **bad})
+    assert MLPSpec(u=np.int64(2), q=(np.int32(4),), v=1) == MLPSpec(u=2, q=(4,), v=1)
 
 
 def test_active_width_prefix_rule():
@@ -107,6 +115,10 @@ def test_active_params_with_input_mask():
     mask = np.arange(6) < 4
     got = active_params(spec, 0.5, active_inputs=mask)[0]
     assert got == brute_force_params(spec, 0.5, active_inputs=mask)
+    with pytest.raises(ValueError):     # rejected as SlimMask rejects it
+        active_params(spec, 0.5, active_inputs=np.zeros(6, dtype=bool))
+    with pytest.raises(ValueError):
+        active_params(spec, 0.5, active_inputs=np.ones(5, dtype=bool))
     with pytest.raises(ValueError):
         active_params(spec, 0.0)
 
@@ -250,6 +262,71 @@ def test_input_gradient_matches_finite_differences():
         assert abs(dx[i] - num) < 1e-5
 
 
+# --- one slicer against the per-layer slicing it replaced ---
+
+NAV_SPEC = MLPSpec(u=4 * OBS_WIDTH, q=(128, 128), v=3,
+                   output_activation="tanh", output_scale=2.0)
+
+
+def _random_net(spec, seed):
+    """A seeded net whose biases are nonzero too, so every block is read."""
+    net = SlimmableMLP(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for b in net.biases:
+        b[:] = rng.uniform(-0.5, 0.5, size=b.size).astype(np.float32)
+    return net
+
+
+def _assert_matches_reference(net, mask, rng):
+    """Outputs, parameter gradients and input gradients byte-equal to the
+    reference passes at batch 1 (one vector) and at batch 64; the truncated
+    copy's output too."""
+    sub = net.truncated(mask)
+    for x in (rng.uniform(0.0, 1.0, size=net.spec.u),
+              rng.uniform(0.0, 1.0, size=(64, net.spec.u))):
+        g = rng.normal(size=(*x.shape[:-1], net.spec.v))
+        y, cache = net.forward(x, mask, return_cache=True)
+        y_ref, cache_ref = reference_forward(net, x, mask, return_cache=True)
+        assert y.tobytes() == y_ref.tobytes()
+        assert net.forward(x, mask).tobytes() == y_ref.tobytes()
+        assert sub.forward(x[..., mask.active_inputs]).tobytes() == y_ref.tobytes()
+        grads = net.backward(cache, g)
+        ref = reference_backward(net, cache_ref, g)
+        assert grads.params.tobytes() == ref.params.tobytes()
+        assert grads.inputs.tobytes() == ref.inputs.tobytes()
+
+
+def test_slicer_matches_reference_at_every_width():
+    net = _random_net(NAV_SPEC, 31)
+    rng = np.random.default_rng(32)
+    for h in range(active_width(0.25, 128), 129):     # every width at rho_min 0.25
+        mask = SlimMask(NAV_SPEC, h / 128)
+        assert mask.active_hidden == (h, h)
+        _assert_matches_reference(net, mask, rng)
+
+
+def test_slicer_matches_reference_at_every_power_mask():
+    net = _random_net(NAV_SPEC, 33)
+    layout = ObservationLayout(4)
+    rng = np.random.default_rng(34)
+    for p_f in FORWARD_LEVELS:
+        for p_d in DOWNWARD_LEVELS:
+            keep = layout.input_mask(p_f, p_d)
+            _assert_matches_reference(net, SlimMask(NAV_SPEC, 1.0, keep), rng)
+            _assert_matches_reference(net, SlimMask(NAV_SPEC, 0.5, keep), rng)
+
+
+def test_slicer_matches_reference_for_td3_nets():
+    rng = np.random.default_rng(35)
+    critic = _random_net(MLPSpec(u=4 * OBS_WIDTH + 1, q=(64, 64), v=1), 36)
+    actor = _random_net(MLPSpec(u=4 * OBS_WIDTH, q=(32, 32), v=2,
+                                output_activation="bounded",
+                                output_low=(1.0, 0.0), output_high=(3.0, 3.0)), 37)
+    for net in (critic, actor):
+        _assert_matches_reference(net, SlimMask(net.spec), rng)
+        _assert_matches_reference(net, SlimMask(net.spec, 0.25), rng)
+
+
 # --- optimizers ---
 
 def test_adam_step_deterministic_and_f32_canonical():
@@ -343,7 +420,11 @@ def test_load_weights_rejects_corrupt(tmp_path):
                      head.replace(b'"seed": 22', b'"seed": 2.5'),
                      head.replace(b'"seed": 22', b'"seed": null'),
                      head.replace(b'"scale": 1.0', b'"scale": NaN'),      # json reads NaN
-                     head.replace(b'"scale": 1.0', b'"scale": Infinity')):
+                     head.replace(b'"scale": 1.0', b'"scale": Infinity'),
+                     head.replace(b'"u": 6', b'"u": 2.5'),       # widths are integers
+                     head.replace(b'"u": 6', b'"u": true'),
+                     head.replace(b'"q": [8, 5]', b'"q": [2.5, 5]'),
+                     head.replace(b'"q": [8, 5]', b'"q": ["8", 5]')):
         assert bad_head != head
         p.write_bytes(b"\n".join([magic, bad_head, payload]))
         with pytest.raises(LoadError):
