@@ -16,13 +16,13 @@ from .pathoracle import (LabeledDataset, MapGraph, OptimalPath, Task,
                          TaskSampler, astar, build_graph, label_dataset,
                          load_dataset, load_paths, partition_regions,
                          path_cost, save_dataset, save_paths)
-from .distill import (DistillConfig, EvalReport, TrainReport,
-                      evaluate_navigation, rmse_by_power, rmse_by_rho,
+from .distill import (DistillConfig, TrainReport, rmse_by_power, rmse_by_rho,
                       train_navigation)
 from .auxtrain import (AuxConfig, ConstraintConfig, Curriculum, EpisodeLog,
                        EtaReport, GateReport, ReplayBuffer, RewardWeights,
-                       TD3Agent, TD3Config, compute_eta, format_percent,
-                       reward, run_episode, train_auxiliary)
+                       TD3Agent, TD3Config, action_bounds, compute_eta,
+                       fly_tasks, format_percent, length_ratio, power_levels,
+                       reward, run_episode, success_rate, train_auxiliary)
 from .cli import ExperimentConfig, main
 
 __version__ = "0.1.0"

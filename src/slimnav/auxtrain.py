@@ -312,10 +312,27 @@ class EpisodeLog:
                 float(np.mean([s.p_d for s in self.steps])))
 
 
+def action_bounds(mode: str, rho_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) of a mode's action: the slimming factor [rho_min]..[1] in
+    mode C, the power pair MIN_POWER..MAX_POWER in mode S. `high` is the
+    full action, full width at max power. ConfigError for any other mode."""
+    if mode == "C":
+        return np.array([rho_min]), np.array([1.0])
+    if mode == "S":
+        return np.array(MIN_POWER, dtype=float), np.array(MAX_POWER, dtype=float)
+    raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
+
+
+def power_levels(action) -> tuple[int, int]:
+    """The power pair a mode-S action asks for: each entry rounded, then
+    clipped to the sensor's levels."""
+    return tuple(int(np.clip(round(a), lo, hi))
+                 for a, lo, hi in zip(action, MIN_POWER, MAX_POWER))
+
+
 def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                 mode: str = "C", *, spawn, goal, weights: RewardWeights | None = None,
                 depth: int = 4, rho_min: float = 0.25,
-                fixed_rho: float = 1.0,
                 goal_radius: float = DEFAULT_GOAL_RADIUS,
                 max_step: float = DEFAULT_MAX_STEP,
                 max_range: float = DEFAULT_MAX_RANGE,
@@ -324,40 +341,32 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                 optimal_path=None) -> EpisodeLog:
     """Closed-loop flight from spawn to goal.
 
-    Mode C: sense at max power, push the FIFO, pick rho (aux actor, `policy`
-    override, or `fixed_rho`), run the navigation network slimmed to rho,
-    step, reward with max-power sensing cost.
+    Mode C: sense at max power, push the FIFO, pick rho (clipped to the
+    action box), run the navigation network slimmed to rho, step, reward
+    with max-power sensing cost.
 
     Mode S: sense at the current power levels, push the FIFO, run the
     navigation network at full width with the matching input mask, pick the
-    next levels (aux actor, `policy` override, or max power; rounded and
-    clipped to MIN_POWER..MAX_POWER, applied at the next acquisition, the
+    next levels (`power_levels`, applied at the next acquisition, the
     first one is max power), step, reward with rho = 1 and the freshly
     emitted levels.
 
     Each step logs the mean depths (`worldsim.mean_depths`) of the newest
     observation, the first OBS_WIDTH entries of the flattened FIFO.
 
-    `policy` maps the flattened FIFO to the raw continuous action and
-    overrides the aux network. `transition_sink(s, a, r, s2, done)` receives
+    `policy` maps the flattened FIFO to the raw continuous action; without
+    it the aux network acts, and without that the full action
+    (`action_bounds`' top). `transition_sink(s, a, r, s2, done)` receives
     every completed transition for replay-buffer filling.
     """
-    if mode not in ("C", "S"):
-        raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
+    low, high = action_bounds(mode, rho_min)
+    if policy is None:
+        policy = aux.forward if aux is not None else lambda x: high
     w = weights or RewardWeights()
     layout = ObservationLayout(depth)
     flight = Flight(grid, spawn, goal, depth, vertical_locked, goal_radius,
                     max_step)
     powers = MAX_POWER  # first acquisition is always max power
-
-    def select_action(x):
-        if policy is not None:
-            return np.asarray(policy(x), dtype=float)
-        if aux is not None:
-            return np.asarray(aux.forward(x), dtype=float)
-        if mode == "C":
-            return np.array([fixed_rho])
-        return np.asarray(MAX_POWER, dtype=float)
 
     steps_log: list[EpisodeStep] = []
     pending = None
@@ -369,35 +378,30 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
             transition_sink(*pending, x, 0.0)
         pending = None
 
-        action = select_action(x)
+        action = np.asarray(policy(x), dtype=float)
         if mode == "C":
-            rho = float(np.clip(action[0], rho_min, 1.0))
+            rho = float(np.clip(action[0], low[0], high[0]))
             mask = SlimMask(nav.spec, rho)
-            used_powers = MAX_POWER
-            reward_powers = MAX_POWER
             m_act = active_params(nav.spec, rho)[0]
+            emitted = MAX_POWER
         else:
             rho = 1.0
             in_mask = layout.input_mask(powers[0], powers[1])
             mask = SlimMask(nav.spec, 1.0, active_inputs=in_mask)
-            emitted = (int(np.clip(round(action[0]), MIN_POWER[0], MAX_POWER[0])),
-                       int(np.clip(round(action[1]), MIN_POWER[1], MAX_POWER[1])))
-            used_powers = powers
-            reward_powers = emitted
             m_act = active_params(nav.spec, 1.0, active_inputs=in_mask)[0]
+            emitted = power_levels(action)
 
         prev_dist = flight.state.goal_distance()
         state = flight.move(nav.forward(x, mask))
         d = prev_dist - state.goal_distance()
-        r = reward(d, state.terminal, rho, reward_powers[0], reward_powers[1], w)
+        r = reward(d, state.terminal, rho, emitted[0], emitted[1], w)
         mean_f, mean_d = mean_depths(x[:OBS_WIDTH], sensor)
         steps_log.append(EpisodeStep(
             position=state.position.copy(), rho=rho,
-            p_f=used_powers[0], p_d=used_powers[1], reward=r,
+            p_f=powers[0], p_d=powers[1], reward=r,
             m_active=m_act, mean_forward_depth=mean_f,
             mean_downward_depth=mean_d))
-        if mode == "S":
-            powers = emitted
+        powers = emitted
 
         if state.terminal != ACTIVE:
             outcome = state.terminal
@@ -418,6 +422,37 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                       spawn=np.asarray(spawn, dtype=float),
                       goal=np.asarray(goal, dtype=float),
                       optimal_steps=opt_steps, optimal_length=opt_len)
+
+
+def fly_tasks(sampler, tasks, nav: SlimmableMLP, mode: str, policy=None,
+              **flight) -> list[EpisodeLog]:
+    """One `run_episode` per task on the sampler's grid: from the task's
+    spawn to its goal, with the graph's vertical lock and the task's optimal
+    path. `flight` holds `run_episode`'s other keywords. A static baseline
+    is a constant `policy`; None flies the full action."""
+    graph = sampler.graph
+    grid = graph.grid
+    return [run_episode(grid, nav, None, mode, spawn=grid.center_of(t.spawn),
+                        goal=grid.center_of(t.goal),
+                        vertical_locked=graph.vertical_locked, policy=policy,
+                        optimal_path=t.path, **flight)
+            for t in tasks]
+
+
+def success_rate(logs) -> float:
+    """Share of the episodes that reached the goal; nan without episodes,
+    since an empty task list has no success rate, not a zero one."""
+    if not logs:
+        return float("nan")
+    return float(np.mean([l.outcome == REACHED for l in logs]))
+
+
+def length_ratio(logs) -> float:
+    """Mean flown-to-optimal step count over the successful episodes that
+    know their optimal path; nan when there are none."""
+    ratios = [l.path_steps / l.optimal_steps for l in logs
+              if l.outcome == REACHED and l.optimal_steps]
+    return float(np.mean(ratios)) if ratios else float("nan")
 
 
 @dataclass
@@ -467,34 +502,6 @@ class AuxTrainResult:
     env_steps: int
 
 
-def _mode_bounds(mode: str, rho_min: float):
-    if mode == "C":
-        return np.array([rho_min]), np.array([1.0])
-    return np.array(MIN_POWER, dtype=float), np.array(MAX_POWER, dtype=float)
-
-
-def evaluate_policy(samplers, nav, agent, mode, region, distance, n_episodes,
-                    rng, *, weights, depth=4, rho_min=0.25,
-                    goal_radius=DEFAULT_GOAL_RADIUS, max_step=DEFAULT_MAX_STEP,
-                    max_range=DEFAULT_MAX_RANGE, max_steps=200) -> list:
-    """Deterministic-policy episodes on sampled tasks; returns EpisodeLogs."""
-    logs = []
-    for _ in range(n_episodes):
-        sampler = samplers[int(rng.integers(len(samplers)))]
-        task = sampler.sample(region, distance, rng)
-        grid = sampler.graph.grid
-        log = run_episode(grid, nav, None, mode,
-                          spawn=grid.center_of(task.spawn),
-                          goal=grid.center_of(task.goal),
-                          weights=weights, depth=depth, rho_min=rho_min,
-                          goal_radius=goal_radius, max_step=max_step,
-                          max_range=max_range, max_steps=max_steps,
-                          vertical_locked=sampler.graph.vertical_locked,
-                          policy=agent.act, optimal_path=task.path)
-        logs.append(log)
-    return logs
-
-
 def check_gate(logs, beta: float) -> tuple[bool, list]:
     """Every episode must reach the goal within beta times the optimal step
     count. Returns (ok, human-readable violations)."""
@@ -509,7 +516,7 @@ def check_gate(logs, beta: float) -> tuple[bool, list]:
     return (not violations), violations
 
 
-def train_auxiliary(samplers, nav: SlimmableMLP, mode: str, cfg: AuxConfig,
+def train_auxiliary(sampler, nav: SlimmableMLP, mode: str, cfg: AuxConfig,
                     weights: RewardWeights, constraint: ConstraintConfig,
                     curriculum: Curriculum, *, depth: int = 4,
                     rho_min: float = 0.25,
@@ -523,16 +530,15 @@ def train_auxiliary(samplers, nav: SlimmableMLP, mode: str, cfg: AuxConfig,
     evaluates held-out test tasks and applies the path-length constraint;
     a failed gate is reported in the result, never hidden.
     """
-    if mode not in ("C", "S"):
-        raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
-    if not samplers:
-        raise ConfigError("need at least one task sampler")
+    low, high = action_bounds(mode, rho_min)
     rng = np.random.default_rng(cfg.seed)
-    low, high = _mode_bounds(mode, rho_min)
     state_dim = depth * OBS_WIDTH
     agent = TD3Agent(state_dim, low, high, cfg, actor_hidden=cfg.actor_hidden,
                      critic_hidden=cfg.critic_hidden, seed=cfg.seed)
     buffer = ReplayBuffer(cfg.buffer_capacity, state_dim, agent.action_dim)
+    flight = dict(weights=weights, depth=depth, rho_min=rho_min,
+                  goal_radius=goal_radius, max_step=max_step,
+                  max_range=max_range, max_steps=cfg.max_episode_steps)
     distance = float(curriculum.start)
     episodes: list[EpisodeLog] = []
     eval_history: list[dict] = []
@@ -553,49 +559,30 @@ def train_auxiliary(samplers, nav: SlimmableMLP, mode: str, cfg: AuxConfig,
             update_log.append({"env_steps": env_steps,
                                "curriculum_distance": distance, **losses})
 
-    episode_idx = 0
+    def evaluate(region: str, dist: float, n: int) -> list[EpisodeLog]:
+        # the deterministic actor draws nothing, so the tasks come first
+        tasks = [sampler.sample(region, dist, rng) for _ in range(n)]
+        return fly_tasks(sampler, tasks, nav, mode, agent.act, **flight)
+
     while env_steps < cfg.total_env_steps:
-        sampler = samplers[int(rng.integers(len(samplers)))]
         task = sampler.sample("train", distance, rng)
-        grid = sampler.graph.grid
-        log = run_episode(grid, nav, None, mode,
-                          spawn=grid.center_of(task.spawn),
-                          goal=grid.center_of(task.goal),
-                          weights=weights, depth=depth, rho_min=rho_min,
-                          goal_radius=goal_radius, max_step=max_step,
-                          max_range=max_range, max_steps=cfg.max_episode_steps,
-                          vertical_locked=sampler.graph.vertical_locked,
-                          policy=policy, transition_sink=sink,
-                          optimal_path=task.path)
-        episodes.append(log)
-        episode_idx += 1
-        if episode_idx % cfg.eval_every_episodes == 0 and env_steps >= cfg.exploration_steps:
-            logs = evaluate_policy(samplers, nav, agent, mode, "validation",
-                                   distance, cfg.eval_episodes, rng,
-                                   weights=weights, depth=depth, rho_min=rho_min,
-                                   goal_radius=goal_radius, max_step=max_step,
-                                   max_range=max_range,
-                                   max_steps=cfg.max_episode_steps)
-            success = float(np.mean([l.outcome == REACHED for l in logs]))
-            eval_history.append({"env_steps": env_steps, "episode": episode_idx,
+        episodes += fly_tasks(sampler, [task], nav, mode, policy,
+                              transition_sink=sink, **flight)
+        if len(episodes) % cfg.eval_every_episodes == 0 and env_steps >= cfg.exploration_steps:
+            logs = evaluate("validation", distance, cfg.eval_episodes)
+            success = success_rate(logs)
+            eval_history.append({"env_steps": env_steps, "episode": len(episodes),
                                  "distance": distance, "success": success,
                                  "mean_rho": float(np.mean([l.mean_rho() for l in logs]))})
             distance = curriculum.advance(distance, success)
 
     dist = cfg.gate_distance if cfg.gate_distance is not None else distance
-    gate_logs = evaluate_policy(samplers, nav, agent, mode, "test", dist,
-                                cfg.gate_episodes, rng, weights=weights,
-                                depth=depth, rho_min=rho_min,
-                                goal_radius=goal_radius, max_step=max_step,
-                                max_range=max_range,
-                                max_steps=cfg.max_episode_steps)
+    gate_logs = evaluate("test", dist, cfg.gate_episodes)
     ok, violations = check_gate(gate_logs, constraint.beta)
-    mean_rho = float(np.mean([l.mean_rho() for l in gate_logs]))
-    pf = float(np.mean([l.mean_powers()[0] for l in gate_logs]))
-    pd = float(np.mean([l.mean_powers()[1] for l in gate_logs]))
-    gate = GateReport(ok=ok,
-                      success_rate=float(np.mean([l.outcome == REACHED for l in gate_logs])),
-                      mean_rho=mean_rho, mean_p_f=pf, mean_p_d=pd,
+    gate = GateReport(ok=ok, success_rate=success_rate(gate_logs),
+                      mean_rho=float(np.mean([l.mean_rho() for l in gate_logs])),
+                      mean_p_f=float(np.mean([l.mean_powers()[0] for l in gate_logs])),
+                      mean_p_d=float(np.mean([l.mean_powers()[1] for l in gate_logs])),
                       distance=dist, beta=constraint.beta,
                       episodes=gate_logs, violations=violations)
     return AuxTrainResult(agent=agent, episodes=episodes,
@@ -620,26 +607,20 @@ class EtaReport:
 
 def compute_eta(logs, spec: MLPSpec) -> EtaReport:
     """Aggregate resource metrics over successful episodes only:
-    eta_m = mean active parameter count / full parameter count,
+    eta_m = mean logged active parameter count (the slimmed network in mode
+    C, the input-masked one in mode S) / full parameter count,
     eta_w = (mean p_f + mean p_d) / max power sum."""
     succ = [l for l in logs if l.outcome == REACHED]
     if not succ:
         raise ValueError("no successful episodes to aggregate")
-    rhos, pfs, pds, ms = [], [], [], []
-    for log in succ:
-        for s in log.steps:
-            rhos.append(s.rho)
-            pfs.append(s.p_f)
-            pds.append(s.p_d)
-            ms.append(active_params(spec, s.rho)[0])
-    m_full = active_params(spec, 1.0)[0]
-    mean_pf = float(np.mean(pfs))
-    mean_pd = float(np.mean(pds))
-    return EtaReport(mean_rho=float(np.mean(rhos)),
-                     eta_m=float(np.mean(ms)) / m_full,
+    steps = [s for log in succ for s in log.steps]
+    mean_pf = float(np.mean([s.p_f for s in steps]))
+    mean_pd = float(np.mean([s.p_d for s in steps]))
+    return EtaReport(mean_rho=float(np.mean([s.rho for s in steps])),
+                     eta_m=float(np.mean([s.m_active for s in steps])) / spec.param_count,
                      mean_p_f=mean_pf, mean_p_d=mean_pd,
                      eta_w=(mean_pf + mean_pd) / POWER_SUM_MAX,
-                     n_episodes=len(succ), n_steps=len(rhos))
+                     n_episodes=len(succ), n_steps=len(steps))
 
 
 def format_percent(x: float, decimals: int = 0) -> str:

@@ -46,8 +46,9 @@ import numpy as np
 
 from . import distill, pathoracle, worldsim
 from .auxtrain import (TIMEOUT, AuxConfig, ConstraintConfig, Curriculum,
-                       EpisodeStep, EpisodeLog, RewardWeights, compute_eta,
-                       format_percent, run_episode, train_auxiliary)
+                       EpisodeStep, EpisodeLog, RewardWeights, action_bounds,
+                       compute_eta, fly_tasks, format_percent, length_ratio,
+                       power_levels, success_rate, train_auxiliary)
 from .errors import ConfigError, ConstraintViolation, DependencyError, LoadError
 from .pathoracle import TaskSampler, build_graph, partition_regions
 from .slimnet import MLPSpec, SlimMask, SlimmableMLP, load_weights, save_weights
@@ -207,8 +208,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Range checks that neither the field types (checked in
         from_dict) nor the section constructors make."""
-        if self.mode not in ("C", "S"):
-            raise ConfigError(f"mode must be 'C' or 'S', got {self.mode!r}")
+        action_bounds(self.mode, self.nav.rho_min)  # rejects an unknown mode
         w = self.world
         if any(d < m for d, m in zip(w.dims, MIN_DIMS)):
             raise ConfigError(f"world.dims must be at least {MIN_DIMS}, got {w.dims}")
@@ -225,17 +225,30 @@ class ExperimentConfig:
         o = self.oracle
         if min(o.n_train_paths, o.n_val_paths, o.n_test_paths) < 1:
             raise ConfigError("oracle path counts must be positive")
-        if not o.distances:
-            raise ConfigError("oracle.distances must not be empty")
+        if not o.distances or min(o.distances) <= 0:
+            raise ConfigError(f"oracle.distances must be non-empty and positive, "
+                              f"got {list(o.distances)}")
         if o.label_jitter < 0:
             raise ConfigError(f"oracle.label_jitter must be >= 0, got {o.label_jitter}")
         if o.crowd_boost < 1:
             raise ConfigError(f"oracle.crowd_boost must be a positive integer, "
                               f"got {o.crowd_boost}")
+        n = self.nav
+        if n.output_scale <= 0 or n.refine_rollouts < 0:
+            raise ConfigError("nav.output_scale must be positive and "
+                              "nav.refine_rollouts >= 0")
         self.nav_spec()
         e = self.eval
-        if not e.buckets or e.episodes_per_bucket < 1:
-            raise ConfigError("eval.buckets must be non-empty with positive episodes")
+        if not e.buckets or min(e.buckets) <= 0 or e.episodes_per_bucket < 1:
+            raise ConfigError("eval.buckets must be non-empty and positive, "
+                              "with positive episodes")
+        if e.adapt_episodes < 1 or e.adapt_distance <= 0:
+            raise ConfigError("eval.adapt_episodes and eval.adapt_distance "
+                              "must be positive")
+        for name, sec in (("oracle", o), ("eval", e)):
+            if not 0.0 <= sec.sample_tolerance < 1.0:
+                raise ConfigError(f"{name}.sample_tolerance must be in [0, 1), "
+                                  f"got {sec.sample_tolerance}")
         if e.heatmap_bin < 1 or e.depth_bin_width <= 0:
             raise ConfigError("eval.heatmap_bin and eval.depth_bin_width must be positive")
         if not all(0.0 < rho <= 1.0 for rho in e.rho_grid):
@@ -243,6 +256,9 @@ class ExperimentConfig:
         b = self.bench
         if not b.sizes or b.n_observations < 1 or b.repeats < 1:
             raise ConfigError("bench needs sizes, observations, and repeats")
+        if not all(q and min(q) >= 1 for q in (*b.sizes, b.aux_hidden)):
+            raise ConfigError("bench.sizes and bench.aux_hidden widths must be "
+                              "non-empty and positive")
 
     def nav_spec(self) -> MLPSpec:
         return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH, q=self.nav.hidden,
@@ -377,10 +393,10 @@ def _load_nav(cfg: ExperimentConfig) -> SlimmableMLP:
 
 def _load_actor(cfg: ExperimentConfig) -> SlimmableMLP:
     """The trained auxiliary actor, refused unless it reads the FIFO and
-    emits the mode's action: rho (C) or the two power levels (S)."""
+    emits the mode's action (`action_bounds`)."""
     net = _load(cfg, AUX_ACTOR_FILE, "train-aux", load_weights)
-    if (net.spec.u, net.spec.v) != (cfg.sensor.fifo_depth * OBS_WIDTH,
-                                    1 if cfg.mode == "C" else 2):
+    low, _ = action_bounds(cfg.mode, cfg.nav.rho_min)
+    if (net.spec.u, net.spec.v) != (cfg.sensor.fifo_depth * OBS_WIDTH, len(low)):
         raise DependencyError(f"{_artifact(cfg, AUX_ACTOR_FILE)} holds a "
                               f"different network shape; rerun train-aux")
     return net
@@ -552,6 +568,14 @@ def cmd_train_nav(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _flight(cfg: ExperimentConfig) -> dict:
+    """The `run_episode` keywords every flight of this configuration
+    shares."""
+    return dict(depth=cfg.sensor.fifo_depth, rho_min=cfg.nav.rho_min,
+                goal_radius=cfg.world.goal_radius, max_step=cfg.world.max_step,
+                max_range=cfg.sensor.max_range)
+
+
 def _episode_rows(logs, start_id: int = 0):
     rows = []
     for i, log in enumerate(logs):
@@ -614,10 +638,8 @@ def cmd_train_aux(cfg: ExperimentConfig) -> int:
     sampler = _build_sampler(cfg, grid)
     t0 = time.time()
     result = train_auxiliary(
-        [sampler], nav, cfg.mode, cfg.aux, cfg.reward, cfg.constraint,
-        cfg.curriculum, depth=cfg.sensor.fifo_depth, rho_min=cfg.nav.rho_min,
-        goal_radius=cfg.world.goal_radius, max_step=cfg.world.max_step,
-        max_range=cfg.sensor.max_range)
+        sampler, nav, cfg.mode, cfg.aux, cfg.reward, cfg.constraint,
+        cfg.curriculum, **_flight(cfg))
     chash = cfg.config_hash()
     save_weights(result.agent.actor, _artifact(cfg, AUX_ACTOR_FILE), chash)
     save_weights(result.agent.critic1, _artifact(cfg, AUX_CRITIC_FILES[0]), chash)
@@ -663,23 +685,17 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     chash = cfg.config_hash()
     rng = np.random.default_rng(e.seed)
 
-    # success vs distance at full width (no adaptation)
+    # success vs distance at full width and max power (no adaptation)
     rows = []
     for d in e.buckets:
         tasks = _draw_tasks(sampler, "test", [d], e.episodes_per_bucket,
                             20 * e.episodes_per_bucket, rng, e.sample_tolerance)
-        rep = distill.evaluate_navigation(
-            nav, grid, tasks, mode=cfg.mode, rho=1.0,
-            depth=cfg.sensor.fifo_depth,
-            vertical_locked=cfg.world.vertical_locked,
-            goal_radius=cfg.world.goal_radius, max_step=cfg.world.max_step,
-            max_range=cfg.sensor.max_range,
-            max_steps=max(60, 5 * int(d)))
-        rows.append(f"{d},{rep.n_episodes},{_fmt(rep.success_rate)},"
-                    f"{_fmt(rep.mean_length_ratio)}")
+        logs = fly_tasks(sampler, tasks, nav, cfg.mode, weights=cfg.reward,
+                         max_steps=max(60, 5 * int(d)), **_flight(cfg))
+        rate = success_rate(logs)
+        rows.append(f"{d},{len(logs)},{_fmt(rate)},{_fmt(length_ratio(logs))}")
         if tasks:
-            print(f"distance {d}: success {rep.success_rate:.3f} "
-                  f"over {rep.n_episodes} episodes")
+            print(f"distance {d}: success {rate:.3f} over {len(logs)} episodes")
         else:
             print(f"distance {d}: no tasks")
     write_csv(_artifact(cfg, EVAL_SUCCESS_FILE),
@@ -704,20 +720,9 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     # run_episode draws no random numbers, so the tasks are drawn up front
     tasks = _draw_tasks(sampler, "test", [e.adapt_distance], e.adapt_episodes,
                         e.adapt_episodes, rng, e.sample_tolerance)
-    logs = [run_episode(grid, nav, None, cfg.mode,
-                        spawn=grid.center_of(task.spawn),
-                        goal=grid.center_of(task.goal),
-                        weights=cfg.reward,
-                        depth=cfg.sensor.fifo_depth,
-                        rho_min=cfg.nav.rho_min,
-                        goal_radius=cfg.world.goal_radius,
-                        max_step=cfg.world.max_step,
-                        max_range=cfg.sensor.max_range,
-                        max_steps=cfg.aux.max_episode_steps,
-                        vertical_locked=cfg.world.vertical_locked,
-                        policy=actor.forward,
-                        optimal_path=task.path)
-            for task in tasks]
+    logs = fly_tasks(sampler, tasks, nav, cfg.mode, actor.forward,
+                     weights=cfg.reward, max_steps=cfg.aux.max_episode_steps,
+                     **_flight(cfg))
     write_csv(_artifact(cfg, EVAL_EPISODES_FILE), EPISODE_COLUMNS,
               _episode_rows(logs), chash)
     n_ok = sum(1 for l in logs if l.outcome == REACHED)
@@ -796,20 +801,24 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 
 
 def _bench_actor(cfg: ExperimentConfig) -> SlimmableMLP:
-    """The auxiliary actor the benchmark times and takes its slimming
-    factors from: the trained one when its weights exist, otherwise a fresh
-    seeded actor of the bench section's widths."""
+    """The auxiliary actor the benchmark times and takes its actions from:
+    the trained one when its weights exist, otherwise a fresh seeded actor
+    of the bench section's widths over the mode's action box."""
     if os.path.exists(_artifact(cfg, AUX_ACTOR_FILE)):
         return _load_actor(cfg)
+    low, high = action_bounds(cfg.mode, cfg.nav.rho_min)
     spec = MLPSpec(u=cfg.sensor.fifo_depth * OBS_WIDTH, q=cfg.bench.aux_hidden,
-                   v=1, output_activation="bounded",
-                   output_low=(cfg.nav.rho_min,), output_high=(1.0,))
+                   v=len(low), output_activation="bounded",
+                   output_low=tuple(low), output_high=tuple(high))
     return SlimmableMLP(spec, seed=cfg.bench.seed)
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
     """Time full-width inference against auxiliary-adapted truncated
-    inference on a static observation set; speedup = (v - u) / v."""
+    inference on a static observation set; speedup = (v - u) / v. The
+    adapted step runs the actor, then the truncated sub-network its action
+    selects: slimmed to rho in mode C, fed only the inputs of the power
+    pair in mode S (gathered inside the timed step)."""
     write_config_copy(cfg)
     b = cfg.bench
     chash = cfg.config_hash()
@@ -817,8 +826,15 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     n_in = cfg.sensor.fifo_depth * OBS_WIDTH
     obs = rng.uniform(0.0, 1.0, size=(b.n_observations, n_in))
     aux = _bench_actor(cfg)
-    rhos = np.array([float(np.clip(aux.forward(x)[0], cfg.nav.rho_min, 1.0))
-                     for x in obs])
+    low, high = action_bounds(cfg.mode, cfg.nav.rho_min)
+    layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
+    # each observation's decoded action: (rho, None) or (1, power pair)
+    if cfg.mode == "C":
+        actions = [(float(np.clip(aux.forward(x)[0], low[0], high[0])), None)
+                   for x in obs]
+    else:
+        actions = [(1.0, power_levels(aux.forward(x))) for x in obs]
+    mean_rho = float(np.mean([rho for rho, _ in actions]))
     rows = []
     for size in b.sizes:
         spec = MLPSpec(u=n_in, q=size, v=3,
@@ -826,12 +842,16 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
                        output_scale=cfg.nav.output_scale)
         nav = SlimmableMLP(spec, seed=b.seed)
         # materialize each distinct truncated sub-network once; at flight
-        # time the sub-network persists until the factor changes
+        # time the sub-network persists until the action changes
         subs = {}
-        for rho in rhos:
-            mask = SlimMask(spec, float(rho))
-            if mask.active_hidden not in subs:
-                subs[mask.active_hidden] = nav.truncated(mask)
+        steps = []
+        for rho, pair in actions:
+            mask = SlimMask(spec, rho, active_inputs=None if pair is None
+                            else layout.input_mask(*pair))
+            if (mask.active_hidden, pair) not in subs:
+                subs[mask.active_hidden, pair] = (nav.truncated(mask),
+                                                  mask.input_index)
+            steps.append(subs[mask.active_hidden, pair])
         t_full = []
         t_slim = []
         for _ in range(b.repeats):
@@ -840,16 +860,15 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
                 nav.forward(x)
             t_full.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            for x, rho in zip(obs, rhos):
+            for x, (sub, idx) in zip(obs, steps):
                 aux.forward(x)
-                mask = SlimMask(spec, float(rho))
-                subs[mask.active_hidden].forward(x)
+                sub.forward(x if idx is None else x[idx])
             t_slim.append(time.perf_counter() - t0)
         v = float(np.median(t_full))
         u = float(np.median(t_slim))
         speedup = (v - u) / v
         label = "x".join(str(h) for h in size)
-        rows.append(f"{label},{_fmt(v)},{_fmt(u)},{_fmt(float(rhos.mean()))},"
+        rows.append(f"{label},{_fmt(v)},{_fmt(u)},{_fmt(mean_rho)},"
                     f"{_fmt(speedup)}")
         print(f"size [{label}]: full {v * 1e3:.2f} ms, adapted {u * 1e3:.2f} ms, "
               f"speedup {speedup:+.3f}")

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxtrain import RewardWeights, run_episode
 from .errors import ConfigError
 from .slimnet import Adam, Grads, MLPSpec, SlimMask, SlimmableMLP
-from .worldsim import (DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE, DEFAULT_MAX_STEP,
-                       DOWNWARD_LEVELS, FORWARD_LEVELS, MAX_POWER, MIN_POWER,
-                       ObservationLayout, REACHED)
+from .worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, MAX_POWER, MIN_POWER,
+                       ObservationLayout)
 
 
 @dataclass
@@ -181,42 +179,3 @@ def rmse_by_power(net: SlimmableMLP, ds, layout: ObservationLayout,
     level one above it (at most the top one)."""
     return {(p_f, p_d): rmse_on_dataset(net, ds, _power_mask(net, p_f, p_d, layout))
             for p_f, p_d in combos}
-
-
-@dataclass
-class EvalReport:
-    success_rate: float
-    mean_length_ratio: float
-    n_episodes: int
-    episodes: list
-
-
-def evaluate_navigation(nav: SlimmableMLP, grid, tasks, *, mode: str = "C",
-                        rho: float = 1.0, depth: int = 4,
-                        weights: RewardWeights | None = None,
-                        vertical_locked: bool = False,
-                        goal_radius: float = DEFAULT_GOAL_RADIUS,
-                        max_step: float = DEFAULT_MAX_STEP,
-                        max_range: float = DEFAULT_MAX_RANGE,
-                        max_steps: int = 200) -> EvalReport:
-    """Run the navigation network alone (no auxiliary adaptation) over the
-    given tasks, at a fixed slimming factor in mode C or at max power in
-    mode S. The length ratio compares flown step counts to the optimal
-    path's step count, over successful episodes. With no tasks both rates
-    are nan: an empty bucket has no success rate, not a zero one."""
-    logs = []
-    for task in tasks:
-        log = run_episode(grid, nav, None, mode,
-                          spawn=grid.center_of(task.spawn),
-                          goal=grid.center_of(task.goal),
-                          weights=weights, depth=depth, fixed_rho=rho,
-                          goal_radius=goal_radius,
-                          max_step=max_step, max_range=max_range,
-                          max_steps=max_steps, vertical_locked=vertical_locked,
-                          optimal_path=task.path)
-        logs.append(log)
-    succ = [l for l in logs if l.outcome == REACHED]
-    ratios = [l.path_steps / l.optimal_steps for l in succ if l.optimal_steps]
-    return EvalReport(success_rate=len(succ) / len(logs) if logs else float("nan"),
-                      mean_length_ratio=float(np.mean(ratios)) if ratios else float("nan"),
-                      n_episodes=len(logs), episodes=logs)

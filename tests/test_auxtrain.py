@@ -10,9 +10,10 @@ from scipy import stats
 from slimnav import pathoracle, worldsim
 from slimnav.auxtrain import (AuxConfig, Curriculum, EpisodeLog, EpisodeStep,
                               ReplayBuffer, RewardWeights, TD3Agent, TD3Config,
-                              check_gate, compute_eta, format_percent,
-                              reward, run_episode, train_auxiliary,
-                              ConstraintConfig)
+                              action_bounds, check_gate, compute_eta,
+                              fly_tasks, format_percent, length_ratio,
+                              power_levels, reward, run_episode, success_rate,
+                              train_auxiliary, ConstraintConfig)
 from slimnav.errors import ConfigError
 from slimnav.slimnet import MLPSpec, SlimmableMLP, active_params
 from slimnav.worldsim import ACTIVE, COLLIDED, OBS_WIDTH, REACHED
@@ -232,7 +233,8 @@ def test_run_episode_rejects_bad_mode(small_world):
 def test_run_episode_fixed_rho_accounting(small_world):
     grid, nav = small_world
     log = run_episode(grid, nav, mode="C", spawn=[3.5, 3.5, 3.5],
-                      goal=[16.5, 16.5, 3.5], fixed_rho=0.5, max_steps=6)
+                      goal=[16.5, 16.5, 3.5], policy=lambda x: [0.5],
+                      max_steps=6)
     assert 1 <= log.path_steps <= 6
     for s in log.steps:
         assert s.rho == 0.5
@@ -274,7 +276,7 @@ def test_run_episode_transition_chain(small_world):
     grid, nav = small_world
     transitions = []
     log = run_episode(grid, nav, mode="C", spawn=[3.5, 3.5, 3.5],
-                      goal=[16.5, 16.5, 3.5], fixed_rho=1.0, max_steps=5,
+                      goal=[16.5, 16.5, 3.5], max_steps=5,
                       transition_sink=lambda *t: transitions.append(t))
     assert len(transitions) == log.path_steps
     for (s, a, r, s2, done), nxt in zip(transitions[:-1], transitions[1:]):
@@ -289,6 +291,59 @@ def test_run_episode_transition_chain(small_world):
     assert [t[2] for t in transitions] == [s.reward for s in log.steps]
 
 
+def test_action_bounds_per_mode():
+    low, high = action_bounds("C", 0.3)
+    assert low.tolist() == [0.3] and high.tolist() == [1.0]
+    low, high = action_bounds("S", 0.3)
+    assert low.tolist() == [1.0, 0.0] and high.tolist() == [3.0, 3.0]
+    with pytest.raises(ConfigError):
+        action_bounds("Q", 0.3)
+    # rounded, then clipped to the sensor's levels
+    assert power_levels([2.4, 7.0]) == (2, 3)
+    assert power_levels([-3.0, 0.6]) == (1, 1)
+
+
+def task_sampler():
+    grid = worldsim.generate_world((20, 20, 8), resolution=1.0, density=0.05,
+                                   seed=2)
+    graph = pathoracle.build_graph(grid, vertical_locked=True)
+    regions = pathoracle.partition_regions(grid, (0.6, 0.2, 0.2))
+    return pathoracle.TaskSampler(graph, regions, flight_z=3)
+
+
+def test_fly_tasks_is_run_episode_per_task(small_world):
+    _, nav = small_world
+    sampler = task_sampler()
+    grid = sampler.graph.grid
+    rng = np.random.default_rng(0)
+    tasks = [sampler.sample("test", 6.0, rng) for _ in range(3)]
+    for mode in ("C", "S"):
+        got = fly_tasks(sampler, tasks, nav, mode, max_steps=12)
+        want = [run_episode(grid, nav, mode=mode,
+                            spawn=grid.center_of(t.spawn),
+                            goal=grid.center_of(t.goal), max_steps=12,
+                            vertical_locked=True, optimal_path=t.path)
+                for t in tasks]
+        assert [l.outcome for l in got] == [l.outcome for l in want]
+        assert [l.optimal_steps for l in got] == [t.path.steps for t in tasks]
+        for a, b in zip(got, want):
+            assert [(s.position.tolist(), s.rho, s.p_f, s.p_d, s.reward, s.m_active)
+                    for s in a.steps] == \
+                   [(s.position.tolist(), s.rho, s.p_f, s.p_d, s.reward, s.m_active)
+                    for s in b.steps]
+        assert success_rate(got) == np.mean([l.outcome == REACHED for l in want])
+
+
+def test_fly_tasks_constant_power_policy(small_world):
+    _, nav = small_world
+    sampler = task_sampler()
+    tasks = [sampler.sample("test", 6.0, np.random.default_rng(1))]
+    log, = fly_tasks(sampler, tasks, nav, "S", lambda x: (1, 0), max_steps=6)
+    assert (log.steps[0].p_f, log.steps[0].p_d) == (3, 3)
+    assert len(log.steps) >= 2
+    assert all((s.p_f, s.p_d) == (1, 0) for s in log.steps[1:])
+
+
 def test_run_episode_vertical_lock(small_world):
     grid, nav = small_world
     log = run_episode(grid, nav, mode="C", spawn=[3.5, 3.5, 3.5],
@@ -301,13 +356,21 @@ def test_run_episode_vertical_lock(small_world):
 # ---------------------------------------------------------------------------
 # gate checking and usage metrics
 
-def fake_log(outcome, n_steps, optimal_steps, rho=1.0, p_f=3, p_d=3):
+ETA_SPEC = MLPSpec(u=8, q=(4, 2), v=1)
+
+
+def fake_log(outcome, n_steps, optimal_steps, rho=1.0, p_f=3, p_d=3,
+             spec=ETA_SPEC, active_inputs=None):
+    """An episode of identical steps whose m_active is what run_episode logs
+    for `spec` at rho and the input mask."""
+    m = active_params(spec, rho, active_inputs)[0]
     steps = [EpisodeStep(position=np.zeros(3), rho=rho, p_f=p_f, p_d=p_d,
-                         reward=0.0, m_active=0, mean_forward_depth=0.0,
+                         reward=0.0, m_active=m, mean_forward_depth=0.0,
                          mean_downward_depth=0.0) for _ in range(n_steps)]
     return EpisodeLog(steps=steps, outcome=outcome, spawn=np.zeros(3),
                       goal=np.ones(3), optimal_steps=optimal_steps,
-                      optimal_length=float(optimal_steps))
+                      optimal_length=None if optimal_steps is None
+                      else float(optimal_steps))
 
 
 def test_check_gate():
@@ -319,6 +382,14 @@ def test_check_gate():
     assert not ok and "collided" in v[0]
 
 
+def test_summaries_of_fake_logs():
+    logs = [fake_log(REACHED, 10, 8), fake_log(REACHED, 12, 8),
+            fake_log(COLLIDED, 3, 8), fake_log(REACHED, 5, None)]
+    assert success_rate(logs) == 0.75
+    assert length_ratio(logs) == pytest.approx((10 / 8 + 12 / 8) / 2)
+    assert math.isnan(length_ratio([fake_log(COLLIDED, 3, 8)]))
+
+
 def test_constraint_config_validation():
     with pytest.raises(ConfigError):
         ConstraintConfig(beta=0.9)
@@ -327,7 +398,7 @@ def test_constraint_config_validation():
 
 
 def test_compute_eta_table_values():
-    spec = MLPSpec(u=8, q=(4, 2), v=1)
+    spec = ETA_SPEC
     # craft step-level powers averaging (2.6, 2.2): five steps
     logs = [fake_log(REACHED, 1, 1, rho=1.0, p_f=f, p_d=d)
             for f, d in ((3, 3), (3, 3), (2, 2), (2, 2), (3, 1))]
@@ -341,7 +412,7 @@ def test_compute_eta_table_values():
 
 
 def test_compute_eta_rounding_case():
-    spec = MLPSpec(u=8, q=(4, 2), v=1)
+    spec = ETA_SPEC
     # means (2.9, 0.73): eta_w = 3.63 / 6 = 60.5%
     pairs = [(3, 1)] * 73 + [(3, 0)] * 17 + [(2, 0)] * 10
     logs = [fake_log(REACHED, 1, 1, p_f=f, p_d=d) for f, d in pairs]
@@ -352,14 +423,31 @@ def test_compute_eta_rounding_case():
 
 
 def test_compute_eta_ignores_failures_and_requires_success():
-    spec = MLPSpec(u=8, q=(4, 2), v=1)
+    spec = ETA_SPEC
     logs = [fake_log(REACHED, 2, 2, rho=0.5),
-            fake_log(COLLIDED, 2, 2, rho=0.0, p_f=0, p_d=0)]
+            fake_log(COLLIDED, 2, 2, rho=0.25, p_f=0, p_d=0)]
     rep = compute_eta(logs, spec)
     assert rep.mean_rho == pytest.approx(0.5)
+    assert rep.eta_m == active_params(spec, 0.5)[0] / spec.param_count
     assert rep.n_episodes == 1
     with pytest.raises(ValueError):
         compute_eta([fake_log(COLLIDED, 2, 2)], spec)
+
+
+def test_compute_eta_counts_input_masked_network():
+    # mode S flies at rho 1, and eta_m reads the logged m_active of the
+    # input-masked network, not the full one
+    layout = worldsim.ObservationLayout(2)
+    spec = MLPSpec(u=layout.total_width, q=(16, 16), v=3)
+    pairs = [(3, 3), (1, 0), (2, 1)]
+    logs = [fake_log(REACHED, 2, 2, p_f=f, p_d=d, spec=spec,
+                     active_inputs=layout.input_mask(f, d)) for f, d in pairs]
+    rep = compute_eta(logs, spec)
+    ms = [active_params(spec, 1.0, layout.input_mask(f, d))[0] for f, d in pairs]
+    assert rep.mean_rho == 1.0
+    assert rep.eta_m == pytest.approx(np.mean(ms) / spec.param_count)
+    assert rep.eta_m < 1.0
+    assert logs[0].steps[0].m_active == spec.param_count   # max power: all inputs
 
 
 def test_format_percent_half_up():
@@ -374,11 +462,7 @@ def test_format_percent_half_up():
 # acceptance suite's long runs)
 
 def test_train_auxiliary_smoke():
-    grid = worldsim.generate_world((20, 20, 8), resolution=1.0, density=0.05,
-                                   seed=2)
-    graph = pathoracle.build_graph(grid, vertical_locked=True)
-    regions = pathoracle.partition_regions(grid, (0.6, 0.2, 0.2))
-    sampler = pathoracle.TaskSampler(graph, regions, flight_z=3)
+    sampler = task_sampler()
     nav = SlimmableMLP(MLPSpec(u=4 * OBS_WIDTH, q=(16, 8), v=3,
                                output_activation="tanh", output_scale=2.0),
                        seed=0)
@@ -387,7 +471,7 @@ def test_train_auxiliary_smoke():
                     total_env_steps=260, eval_every_episodes=8,
                     eval_episodes=2, gate_episodes=3, gate_distance=6.0,
                     actor_hidden=(8,), critic_hidden=(8,))
-    res = train_auxiliary([sampler], nav, "C", cfg, RewardWeights(),
+    res = train_auxiliary(sampler, nav, "C", cfg, RewardWeights(),
                           ConstraintConfig(),
                           Curriculum(start=6.0, maximum=6.0))
     assert res.env_steps >= 260

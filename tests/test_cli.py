@@ -139,6 +139,21 @@ def test_from_dict_converts_lists_to_tuples():
     {"aux": {"exploration_steps": -1}},
     {"aux": {"max_episode_steps": 0}},
     {"nav": {"lr": 0.0}},
+    # values that passed validation, then failed or misbehaved in a stage
+    {"nav": {"output_scale": 0.0}},
+    {"nav": {"output_scale": -2.0}},
+    {"nav": {"refine_rollouts": -1}},
+    {"eval": {"adapt_episodes": 0}},
+    {"eval": {"adapt_distance": 0.0}},
+    {"eval": {"buckets": [10, -5]}},
+    {"oracle": {"distances": [5, 0]}},
+    {"oracle": {"sample_tolerance": 1.0}},
+    {"oracle": {"sample_tolerance": -0.1}},
+    {"eval": {"sample_tolerance": 1.5}},
+    {"bench": {"sizes": [[64, 0]]}},
+    {"bench": {"sizes": [[]]}},
+    {"bench": {"aux_hidden": [0]}},
+    {"bench": {"aux_hidden": []}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
@@ -729,7 +744,7 @@ PIPELINE_DIGESTS = {
         "report_heatmap.csv": "6967d106d9152c71",
         "report_rmse.csv": "703b026fb51bcb93",
         "report_success.csv": "da45e95dd9212ab3",
-        "report_summary.csv": "73f900811d704ba0",
+        "report_summary.csv": "f811b4c53fafb383",
         "test_data.bin": "c5034207a87b11d9",
         "test_paths.txt": "41804420f91fe51e",
         "train_data.bin": "3812f5dc49413d78",
@@ -795,6 +810,36 @@ def test_actor_of_another_shape_is_refused(tmp_path, monkeypatch, capsys,
         err = capsys.readouterr().err
         assert err.startswith("dependency error") and AUX_ACTOR_FILE in err
         assert "Traceback" not in err
+
+
+def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
+    # without a trained actor, bench builds a mode-S actor and times the
+    # input-masked sub-network of each power pair it emits
+    truncated = []
+    original = slimnet.SlimmableMLP.truncated
+
+    def spy(net, mask):
+        truncated.append(mask)
+        return original(net, mask)
+
+    monkeypatch.setattr(slimnet.SlimmableMLP, "truncated", spy)
+    cfg = load_config(None, [f"out_dir={tmp_path}", "mode=S",
+                             "bench.sizes=[[8]]", "bench.n_observations=30",
+                             "bench.repeats=1"])
+    aux = cli._bench_actor(cfg)
+    assert aux.spec.v == 2
+    assert (aux.spec.output_low, aux.spec.output_high) == (worldsim.MIN_POWER,
+                                                           worldsim.MAX_POWER)
+    assert cli.cmd_bench(cfg) == 0
+    layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
+    masks = {(p_f, p_d): layout.input_mask(p_f, p_d).tobytes()
+             for p_f in worldsim.FORWARD_LEVELS
+             for p_d in worldsim.DOWNWARD_LEVELS}
+    assert truncated and all(m.active_hidden == (8,) for m in truncated)
+    assert all(m.active_inputs.tobytes() in masks.values() for m in truncated)
+    assert any(m.input_index is not None for m in truncated)
+    _, rows = read_csv(os.path.join(cfg.out_dir, BENCH_FILE), cfg.config_hash())
+    assert float(rows[0][3]) == 1.0     # mode S never slims
 
 
 @pytest.mark.parametrize("mode", ["C", "S"])

@@ -98,7 +98,7 @@ def power_policy(x):
 
 
 EPISODE_CASES = {
-    "C-fixed": ("C", dict(fixed_rho=0.5)),
+    "C-fixed": ("C", dict(policy=lambda x: [0.5])),
     "C-policy": ("C", dict(policy=rho_policy)),
     "S-policy": ("S", dict(policy=power_policy)),
     "S-default": ("S", {}),
