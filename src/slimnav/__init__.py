@@ -21,7 +21,7 @@ from .distill import (DistillConfig, TrainReport, rmse_by_power, rmse_by_rho,
 from .auxtrain import (AuxConfig, ConstraintConfig, Curriculum, EpisodeLog,
                        EtaReport, GateReport, ReplayBuffer, RewardWeights,
                        TD3Agent, TD3Config, action_bounds, compute_eta,
-                       fly_tasks, format_percent, length_ratio, power_levels,
+                       decode_action, fly_tasks, format_percent, length_ratio,
                        reward, run_episode, success_rate, train_auxiliary)
 from .cli import ExperimentConfig, main
 

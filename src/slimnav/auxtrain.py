@@ -54,8 +54,8 @@ def reward(d: float, terminal: str, rho: float, p_f: float, p_d: float,
     """Reward of one step: -collision / +goal on terminals, otherwise
     progress * tanh(d) - time - compute * rho - sensing * (p_f + p_d).
 
-    Callers fix the coefficient that their mode does not control (mode C
-    passes max power, mode S passes rho = 1).
+    Callers pass the step's decoded action (`decode_action`): its rho and
+    its power pair, so mode C charges max power and mode S rho = 1.
     """
     if terminal == COLLIDED:
         return -w.collision
@@ -323,11 +323,14 @@ def action_bounds(mode: str, rho_min: float) -> tuple[np.ndarray, np.ndarray]:
     raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
 
 
-def power_levels(action) -> tuple[int, int]:
-    """The power pair a mode-S action asks for: each entry rounded, then
-    clipped to the sensor's levels."""
-    return tuple(int(np.clip(round(a), lo, hi))
-                 for a, lo, hi in zip(action, MIN_POWER, MAX_POWER))
+def decode_action(mode: str, action, low, high) -> tuple[float, tuple[int, int]]:
+    """The (rho, (p_f, p_d)) a mode's action asks for, over its
+    `action_bounds` (low, high). Mode C clips rho and keeps MAX_POWER; mode S
+    keeps rho = 1 and rounds, then clips, each power level."""
+    if mode == "C":
+        return float(np.clip(action[0], low[0], high[0])), MAX_POWER
+    return 1.0, tuple(int(np.clip(round(a), lo, hi))
+                      for a, lo, hi in zip(action, low, high))
 
 
 def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
@@ -341,15 +344,13 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                 optimal_path=None) -> EpisodeLog:
     """Closed-loop flight from spawn to goal.
 
-    Mode C: sense at max power, push the FIFO, pick rho (clipped to the
-    action box), run the navigation network slimmed to rho, step, reward
-    with max-power sensing cost.
-
-    Mode S: sense at the current power levels, push the FIFO, run the
-    navigation network at full width with the matching input mask, pick the
-    next levels (`power_levels`, applied at the next acquisition, the
-    first one is max power), step, reward with rho = 1 and the freshly
-    emitted levels.
+    Each step senses at the current power pair (the first acquisition is
+    always MAX_POWER), pushes the FIFO and asks the policy for an action,
+    which `decode_action` turns into (rho, next pair). The navigation
+    network runs slimmed to rho with the input mask of the sensed pair, the
+    drone steps, and the reward charges rho and the next pair, at which the
+    following acquisition senses. Mode C keeps MAX_POWER and so every input;
+    mode S keeps rho = 1.
 
     Each step logs the mean depths (`worldsim.mean_depths`) of the newest
     observation, the first OBS_WIDTH entries of the flattened FIFO.
@@ -366,42 +367,37 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
     layout = ObservationLayout(depth)
     flight = Flight(grid, spawn, goal, depth, vertical_locked, goal_radius,
                     max_step)
-    powers = MAX_POWER  # first acquisition is always max power
+    powers = MAX_POWER
+    sensed = None
 
     steps_log: list[EpisodeStep] = []
     pending = None
     outcome = TIMEOUT
     for _ in range(max_steps):
-        sensor = SensorConfig(powers[0], powers[1], max_range)
+        if powers != sensed:
+            sensed = powers
+            sensor = SensorConfig(sensed[0], sensed[1], max_range)
+            in_mask = layout.input_mask(*sensed)
         x = flight.observe(sensor)
         if pending is not None and transition_sink is not None:
             transition_sink(*pending, x, 0.0)
         pending = None
 
         action = np.asarray(policy(x), dtype=float)
-        if mode == "C":
-            rho = float(np.clip(action[0], low[0], high[0]))
-            mask = SlimMask(nav.spec, rho)
-            m_act = active_params(nav.spec, rho)[0]
-            emitted = MAX_POWER
-        else:
-            rho = 1.0
-            in_mask = layout.input_mask(powers[0], powers[1])
-            mask = SlimMask(nav.spec, 1.0, active_inputs=in_mask)
-            m_act = active_params(nav.spec, 1.0, active_inputs=in_mask)[0]
-            emitted = power_levels(action)
+        rho, powers = decode_action(mode, action, low, high)
+        mask = SlimMask(nav.spec, rho, in_mask)
+        m_act = active_params(nav.spec, rho, in_mask)[0]
 
         prev_dist = flight.state.goal_distance()
         state = flight.move(nav.forward(x, mask))
         d = prev_dist - state.goal_distance()
-        r = reward(d, state.terminal, rho, emitted[0], emitted[1], w)
+        r = reward(d, state.terminal, rho, powers[0], powers[1], w)
         mean_f, mean_d = mean_depths(x[:OBS_WIDTH], sensor)
         steps_log.append(EpisodeStep(
             position=state.position.copy(), rho=rho,
-            p_f=powers[0], p_d=powers[1], reward=r,
+            p_f=sensed[0], p_d=sensed[1], reward=r,
             m_active=m_act, mean_forward_depth=mean_f,
             mean_downward_depth=mean_d))
-        powers = emitted
 
         if state.terminal != ACTIVE:
             outcome = state.terminal
@@ -428,8 +424,10 @@ def fly_tasks(sampler, tasks, nav: SlimmableMLP, mode: str, policy=None,
               **flight) -> list[EpisodeLog]:
     """One `run_episode` per task on the sampler's grid: from the task's
     spawn to its goal, with the graph's vertical lock and the task's optimal
-    path. `flight` holds `run_episode`'s other keywords. A static baseline
-    is a constant `policy`; None flies the full action."""
+    path. `flight` holds `run_episode`'s other keywords. Every step flies
+    the (rho, power pair) that `decode_action` reads from the policy's
+    action; a static baseline is a constant `policy` (a constant rho or
+    pair), and None flies the full action."""
     graph = sampler.graph
     grid = graph.grid
     return [run_episode(grid, nav, None, mode, spawn=grid.center_of(t.spawn),

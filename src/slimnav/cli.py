@@ -26,8 +26,9 @@ by the fields only the CLI reads (``nav`` also trains longer by default). A
 module's own checks therefore run when its section is built, and their
 errors name the section.
 
-Exit codes: 0 success, 2 configuration error, 3 missing/mismatched
-dependency artifact, 4 path-length constraint gate failed.
+Exit codes: 0 success, 2 configuration error or training that diverged
+(non-finite weights), 3 missing/mismatched dependency artifact, 4
+path-length constraint gate failed.
 """
 from __future__ import annotations
 
@@ -47,9 +48,10 @@ import numpy as np
 from . import distill, pathoracle, worldsim
 from .auxtrain import (TIMEOUT, AuxConfig, ConstraintConfig, Curriculum,
                        EpisodeStep, EpisodeLog, RewardWeights, action_bounds,
-                       compute_eta, fly_tasks, format_percent, length_ratio,
-                       power_levels, success_rate, train_auxiliary)
-from .errors import ConfigError, ConstraintViolation, DependencyError, LoadError
+                       compute_eta, decode_action, fly_tasks, format_percent,
+                       length_ratio, success_rate, train_auxiliary)
+from .errors import (ConfigError, ConstraintViolation, DependencyError,
+                     LoadError, TrainingError)
 from .pathoracle import TaskSampler, build_graph, partition_regions
 from .slimnet import MLPSpec, SlimMask, SlimmableMLP, load_weights, save_weights
 from .worldsim import (COLLIDED, MIN_DIMS, OBS_WIDTH, REACHED, SensorConfig,
@@ -98,8 +100,8 @@ class WorldSection:
     seed: int = 7
     vertical_locked: bool = True
     flight_z: int = 2
-    goal_radius: float = 2.0
-    max_step: float = 2.0
+    goal_radius: float = worldsim.DEFAULT_GOAL_RADIUS
+    max_step: float = worldsim.DEFAULT_MAX_STEP
 
 
 @dataclass(frozen=True)
@@ -188,14 +190,9 @@ class ExperimentConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        out: dict = {"mode": self.mode, "out_dir": self.out_dir}
-        for f in dataclasses.fields(self):
-            if f.name in ("mode", "out_dir"):
-                continue
-            sec = getattr(self, f.name)
-            out[f.name] = {g.name: _plain(getattr(sec, g.name))
-                           for g in dataclasses.fields(sec)}
-        return out
+        """Every field as plain JSON data: tuples become lists, as
+        from_dict reads them back."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
     def config_hash(self) -> str:
         """Hash of every semantic field (out_dir excluded, so the same
@@ -305,12 +302,6 @@ def _typed(key: str, val, hint):
     if hint is float and not math.isfinite(val):  # json reads NaN, Infinity
         raise ConfigError(f"{key} must be finite, got {val!r}")
     return val
-
-
-def _plain(v):
-    if isinstance(v, tuple):
-        return [_plain(x) for x in v]
-    return v
 
 
 def load_config(path: str | None, overrides) -> ExperimentConfig:
@@ -590,10 +581,12 @@ def _episode_rows(logs, start_id: int = 0):
     return rows
 
 
-def _episode_row(r: list[str]) -> tuple[int, int, EpisodeStep, str, int]:
+def _episode_row(r: list[str], param_count: int
+                 ) -> tuple[int, int, EpisodeStep, str, int]:
     """(episode id, t, step, outcome, optimal steps) of one episode CSV row;
     ValueError on a field that does not parse, a non-finite number, rho
-    outside (0, 1], a power level the sensor lacks or an unknown outcome."""
+    outside (0, 1], a power level the sensor lacks, an m_active outside
+    [1, param_count] or an unknown outcome."""
     ep, t, p_f, p_d, m_active, opt = (int(r[i]) for i in (0, 1, 6, 7, 9, 12))
     x, y, z, rho, rew, depth = (float(r[i]) for i in (2, 3, 4, 5, 8, 10))
     if not all(math.isfinite(v) for v in (x, y, z, rho, rew, depth)):
@@ -602,6 +595,8 @@ def _episode_row(r: list[str]) -> tuple[int, int, EpisodeStep, str, int]:
         raise ValueError(f"rho {rho} outside (0, 1]")
     if p_f not in worldsim.FORWARD_LEVELS or p_d not in worldsim.DOWNWARD_LEVELS:
         raise ValueError(f"power levels ({p_f}, {p_d}) outside the sensor's")
+    if not 1 <= m_active <= param_count:
+        raise ValueError(f"m_active {m_active} outside [1, {param_count}]")
     if r[11] not in (REACHED, COLLIDED, TIMEOUT):
         raise ValueError(f"unknown outcome {r[11]!r}")
     step = EpisodeStep(position=np.array([x, y, z]), rho=rho, p_f=p_f, p_d=p_d,
@@ -610,13 +605,14 @@ def _episode_row(r: list[str]) -> tuple[int, int, EpisodeStep, str, int]:
     return ep, t, step, r[11], opt
 
 
-def _logs_from_rows(rows, path: str) -> list[EpisodeLog]:
+def _logs_from_rows(rows, path: str, param_count: int) -> list[EpisodeLog]:
     """Rebuild per-episode logs (the fields reports need) from the rows of
-    the episode CSV `path`; LoadError on a row `_episode_row` rejects."""
+    the episode CSV `path`, flown by a navigation network of `param_count`
+    parameters; LoadError on a row `_episode_row` rejects."""
     by_ep: dict[int, list] = {}
     for n, r in enumerate(rows, start=1):
         try:
-            parsed = _episode_row(r)
+            parsed = _episode_row(r, param_count)
         except ValueError as e:
             raise LoadError(f"{path}: episode row {n}: {e}") from e
         by_ep.setdefault(parsed[0], []).append(parsed)
@@ -749,7 +745,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     ep_header, ep_rows = read_csv(ep_path, chash)
     if ",".join(ep_header) != EPISODE_COLUMNS:
         raise LoadError(f"{ep_path}: columns are not {EPISODE_COLUMNS}")
-    logs = _logs_from_rows(ep_rows, ep_path)
+    logs = _logs_from_rows(ep_rows, ep_path, nav.spec.param_count)
     ok_logs = [l for l in logs if l.outcome == REACHED]
 
     def group_means(key) -> list:
@@ -816,9 +812,10 @@ def _bench_actor(cfg: ExperimentConfig) -> SlimmableMLP:
 def cmd_bench(cfg: ExperimentConfig) -> int:
     """Time full-width inference against auxiliary-adapted truncated
     inference on a static observation set; speedup = (v - u) / v. The
-    adapted step runs the actor, then the truncated sub-network its action
-    selects: slimmed to rho in mode C, fed only the inputs of the power
-    pair in mode S (gathered inside the timed step)."""
+    adapted step runs the actor, then the truncated sub-network of the
+    (rho, power pair) its action decodes to (`decode_action`): slimmed to
+    rho and fed only the inputs of the pair, gathered inside the timed
+    step."""
     write_config_copy(cfg)
     b = cfg.bench
     chash = cfg.config_hash()
@@ -828,12 +825,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     aux = _bench_actor(cfg)
     low, high = action_bounds(cfg.mode, cfg.nav.rho_min)
     layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
-    # each observation's decoded action: (rho, None) or (1, power pair)
-    if cfg.mode == "C":
-        actions = [(float(np.clip(aux.forward(x)[0], low[0], high[0])), None)
-                   for x in obs]
-    else:
-        actions = [(1.0, power_levels(aux.forward(x))) for x in obs]
+    actions = [decode_action(cfg.mode, aux.forward(x), low, high) for x in obs]
     mean_rho = float(np.mean([rho for rho, _ in actions]))
     rows = []
     for size in b.sizes:
@@ -846,8 +838,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         subs = {}
         steps = []
         for rho, pair in actions:
-            mask = SlimMask(spec, rho, active_inputs=None if pair is None
-                            else layout.input_mask(*pair))
+            mask = SlimMask(spec, rho, layout.input_mask(*pair))
             if (mask.active_hidden, pair) not in subs:
                 subs[mask.active_hidden, pair] = (nav.truncated(mask),
                                                   mask.input_index)
@@ -916,6 +907,9 @@ def entry() -> None:
         code = main()
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
+        code = 2
+    except TrainingError as e:
+        print(f"training error: {e}", file=sys.stderr)
         code = 2
     except (DependencyError, LoadError) as e:
         print(f"dependency error: {e}", file=sys.stderr)

@@ -120,15 +120,13 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
         raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ConfigError("training and validation datasets must be non-empty")
-    if mode == "S" and layout is None:
+    if layout is None:
         layout = ObservationLayout(train_ds.depth)
     net = SlimmableMLP(spec, seed=cfg.seed)
     opt = Adam(net, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
     x_train, y_train = train_ds.fifo_vectors, train_ds.targets
     x_val, y_val = val_ds.fifo_vectors, val_ds.targets
-    full_mask = (_power_mask(net, *MAX_POWER, layout) if mode == "S"
-                 else SlimMask(net.spec))
 
     best_val = float("inf")
     best_epoch = 0
@@ -148,7 +146,7 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
             opt.step(grads)
             losses.append(loss)
         train_losses.append(float(np.mean(losses)))
-        val_losses.append(_mse(net.forward(x_val, full_mask), y_val))
+        val_losses.append(_mse(net.forward(x_val), y_val))
         if val_losses[-1] < best_val:
             best_val = val_losses[-1]
             best_epoch = epoch

@@ -318,7 +318,9 @@ class Adam:
         `p = f32(p - lr * (m / c1) / (sqrt(v / c2) + eps))`. It allocates
         one two-row scratch array (numerator, denominator) and the float32
         copy of the result, both for the step alone: a scratch kept between
-        steps would add its size to every later memory peak."""
+        steps would add its size to every later memory peak. TrainingError,
+        with `params` untouched, when the gradient or the float32 result is
+        not finite."""
         if not grads.all_finite():
             bad = np.count_nonzero(~np.isfinite(grads.params))
             raise TrainingError(f"non-finite gradient in {bad} of {grads.params.size} parameters")
@@ -335,14 +337,21 @@ class Adam:
         np.multiply(1 - b2, g, out=num)
         num *= g
         v += num
-        np.divide(m, c1, out=num)
-        np.multiply(self.lr, num, out=num)
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
         den += self.eps
-        num /= den
-        np.subtract(p, num, out=num)
-        p[:] = num.astype(np.float32)
+        try:
+            # any overflow from here on leaves a non-finite weight; the
+            # denominator stays outside, where an overflow only shrinks the step
+            with np.errstate(over="raise"):
+                np.divide(m, c1, out=num)
+                np.multiply(self.lr, num, out=num)
+                num /= den
+                np.subtract(p, num, out=num)
+                new = num.astype(np.float32)
+        except FloatingPointError as e:
+            raise TrainingError(f"step {self.t} diverged: {e}") from None
+        p[:] = new
 
 
 # weight file io

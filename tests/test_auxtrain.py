@@ -11,12 +11,13 @@ from slimnav import pathoracle, worldsim
 from slimnav.auxtrain import (AuxConfig, Curriculum, EpisodeLog, EpisodeStep,
                               ReplayBuffer, RewardWeights, TD3Agent, TD3Config,
                               action_bounds, check_gate, compute_eta,
-                              fly_tasks, format_percent, length_ratio,
-                              power_levels, reward, run_episode, success_rate,
+                              decode_action, fly_tasks, format_percent,
+                              length_ratio, reward, run_episode, success_rate,
                               train_auxiliary, ConstraintConfig)
 from slimnav.errors import ConfigError
 from slimnav.slimnet import MLPSpec, SlimmableMLP, active_params
-from slimnav.worldsim import ACTIVE, COLLIDED, OBS_WIDTH, REACHED
+from slimnav.worldsim import (ACTIVE, COLLIDED, MAX_POWER, MIN_POWER,
+                              OBS_WIDTH, REACHED, ObservationLayout)
 
 from td3_toy import train_toy_agent
 
@@ -298,9 +299,20 @@ def test_action_bounds_per_mode():
     assert low.tolist() == [1.0, 0.0] and high.tolist() == [3.0, 3.0]
     with pytest.raises(ConfigError):
         action_bounds("Q", 0.3)
-    # rounded, then clipped to the sensor's levels
-    assert power_levels([2.4, 7.0]) == (2, 3)
-    assert power_levels([-3.0, 0.6]) == (1, 1)
+    # decoded to (rho, power pair)
+    for mode, low_decoded in (("C", (0.3, MAX_POWER)), ("S", (1.0, MIN_POWER))):
+        low, high = action_bounds(mode, 0.3)
+        # the high corner is the full action in both modes
+        assert decode_action(mode, high, low, high) == (1.0, MAX_POWER)
+        assert decode_action(mode, low, low, high) == low_decoded
+    low, high = action_bounds("C", 0.3)
+    assert decode_action("C", [0.1], low, high) == (0.3, MAX_POWER)
+    assert decode_action("C", [1.7], low, high) == (1.0, MAX_POWER)
+    assert decode_action("C", [0.55], low, high) == (0.55, MAX_POWER)
+    # mode S: rounded, then clipped to the sensor's levels
+    low, high = action_bounds("S", 0.3)
+    assert decode_action("S", [2.4, 7.0], low, high) == (1.0, (2, 3))
+    assert decode_action("S", [-3.0, 0.6], low, high) == (1.0, (1, 1))
 
 
 def task_sampler():
@@ -335,13 +347,22 @@ def test_fly_tasks_is_run_episode_per_task(small_world):
 
 
 def test_fly_tasks_constant_power_policy(small_world):
+    # a static mode-S baseline: the first step senses at max power, every
+    # later one at the constant pair, and each logs the parameter count of
+    # the sub-network of the pair it sensed
     _, nav = small_world
     sampler = task_sampler()
     tasks = [sampler.sample("test", 6.0, np.random.default_rng(1))]
-    log, = fly_tasks(sampler, tasks, nav, "S", lambda x: (1, 0), max_steps=6)
-    assert (log.steps[0].p_f, log.steps[0].p_d) == (3, 3)
-    assert len(log.steps) >= 2
-    assert all((s.p_f, s.p_d) == (1, 0) for s in log.steps[1:])
+    layout = ObservationLayout(4)
+    for pair in ((1, 0), (2, 3)):
+        log, = fly_tasks(sampler, tasks, nav, "S", lambda x: pair, max_steps=6)
+        sensed = [(s.p_f, s.p_d) for s in log.steps]
+        assert len(sensed) >= 2
+        assert sensed == [MAX_POWER] + [pair] * (len(sensed) - 1)
+        assert [s.m_active for s in log.steps] == [
+            active_params(nav.spec, 1.0, layout.input_mask(*p))[0]
+            for p in sensed]
+        assert all(s.rho == 1.0 for s in log.steps)
 
 
 def test_run_episode_vertical_lock(small_world):

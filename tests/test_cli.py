@@ -308,7 +308,7 @@ def test_episode_rows_round_trip():
     logs = [_toy_log("reached", 7), _toy_log("timeout", None)]
     rows = [r.split(",") for r in cli._episode_rows(logs)]
     assert len(rows) == 4
-    back = cli._logs_from_rows(rows, "episodes.csv")
+    back = cli._logs_from_rows(rows, "episodes.csv", 1000)
     assert len(back) == 2
     assert back[0].outcome == "reached"
     assert back[0].optimal_steps == 7
@@ -344,7 +344,7 @@ def test_logs_from_rows_rejects_bad_fields(col, text):
     rows = [r.split(",") for r in cli._episode_rows([_toy_log("reached", 7)])]
     rows[0][col] = text
     with pytest.raises(LoadError, match="episodes.csv: episode row 1"):
-        cli._logs_from_rows(rows, "episodes.csv")
+        cli._logs_from_rows(rows, "episodes.csv", 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +420,24 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
                         lambda cfg: (_ for _ in ()).throw(
                             ConstraintViolation("gate failed")))
     assert run(["gen-world"]) == 4
+
+
+def test_diverged_training_exits_2(tmp_path, monkeypatch, capsys):
+    # a learning rate that overflows the float32 weights on the first step
+    small = ["--set", f"out_dir={tmp_path}", "--set", "world.dims=[24,24,8]",
+             "--set", "world.density=0.05", "--set", "oracle.n_train_paths=4",
+             "--set", "oracle.n_val_paths=2", "--set", "oracle.n_test_paths=2",
+             "--set", "oracle.distances=[5]", "--set", "nav.hidden=[8]",
+             "--set", "nav.refine_rollouts=0", "--set", "nav.lr=1e39"]
+    for stage in ("gen-world", "oracle"):
+        assert _entry_code(monkeypatch, [stage, *small]) == 0
+    capsys.readouterr()
+    # any warning is an error here, so a leaked overflow warning fails
+    assert _entry_code(monkeypatch, ["train-nav", *small]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("training error:")
+    assert "Traceback" not in err
+    assert not os.path.exists(os.path.join(tmp_path, NAV_WEIGHTS_FILE))
 
 
 def test_eval_rho_grid_outside_unit_interval_is_config_error(tmp_path, monkeypatch, capsys):
@@ -758,7 +776,7 @@ UNPINNED_ARTIFACTS = {CONFIG_FILE, BENCH_FILE, REPORT_FILES["timing"]}
 
 
 @pytest.mark.parametrize("case", ["cut", "p_f", "rho", "header_only",
-                                  "columns"])
+                                  "columns", "m_active_999999", "m_active_0"])
 def test_report_rejects_corrupt_episode_csv(mini_c, tmp_path, monkeypatch,
                                             capsys, case):
     cfg, _, cfg_path = mini_c
@@ -776,6 +794,9 @@ def test_report_rejects_corrupt_episode_csv(mini_c, tmp_path, monkeypatch,
         lines[2] = ",".join(row[:6] + ["x"] + row[7:])
     elif case == "rho":
         lines[2] = ",".join(row[:5] + ["nan"] + row[6:])
+    elif case.startswith("m_active"):
+        # outside [1, the nav spec's param_count]
+        lines[2] = ",".join(row[:9] + [case.split("_")[-1]] + row[10:])
     elif case == "header_only":
         lines = lines[:1]
     else:
