@@ -181,7 +181,11 @@ class TD3Agent:
         for net, tgt in ((self.actor, self.actor_target),
                          (self.critic1, self.critic1_target),
                          (self.critic2, self.critic2_target)):
-            tgt.params[:] = (tau * net.params + (1.0 - tau) * tgt.params).astype(np.float32)
+            # in place, as tau * net + (1 - tau) * tgt rounded to float32
+            p = tgt.params
+            p *= 1.0 - tau
+            p += tau * net.params
+            p[:] = p.astype(np.float32)
 
     def update(self, buffer: ReplayBuffer, rng) -> dict:
         """One TD3 step: both critics regress the clipped double-Q target;
@@ -217,9 +221,8 @@ class TD3Agent:
             sa_pi = np.concatenate([s, a_pi], axis=1)
             q, cache_q = self.critic1.forward(sa_pi, return_cache=True)
             losses["actor"] = float(-np.mean(q))
-            gq = self.critic1.backward(cache_q, np.full((n, 1), -1.0 / n))
-            da = gq.inputs[:, self.state_dim:]
-            grads_actor = self.actor.backward(cache_a, da)
+            dq = self.critic1.input_grad(cache_q, np.full((n, 1), -1.0 / n))
+            grads_actor = self.actor.backward(cache_a, dq[:, self.state_dim:])
             self.opt_actor.step(grads_actor)
             self._polyak()
         return losses

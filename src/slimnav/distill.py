@@ -63,14 +63,15 @@ def _sandwich(net: SlimmableMLP, x: np.ndarray, targets: np.ndarray,
     """The first mask's pass against the hard targets, whose outputs become
     the soft targets (recorded as constants, no gradient flows through
     them); every further mask's pass against the soft targets. Returns the
-    summed gradients and the hard-target loss."""
+    gradients, every pass added into the first pass's, and the hard-target
+    loss."""
     y, cache = net.forward(x, masks[0], return_cache=True)
     hard_loss = _mse(y, targets)
     grads = net.backward(cache, _mse_grad(y, targets))
     soft = y.copy()
     for mask in masks[1:]:
         y, cache = net.forward(x, mask, return_cache=True)
-        grads.add_(net.backward(cache, _mse_grad(y, soft)))
+        net.backward(cache, _mse_grad(y, soft), into=grads)
     return grads, hard_loss
 
 

@@ -11,6 +11,12 @@ file stores them (W0 row major, b0, W1, b1, ...); `weights` and `biases` are
 views into it that must never be rebound. Parameters are kept
 float32-representable (init and every optimizer step round through float32)
 so the float32 weight file round-trips exactly.
+
+The backward pass comes in two parts, so each caller computes only what it
+reads: `backward` gives the parameter gradients (fresh, or added into an
+accumulator such as a distillation sandwich's), and `input_grad` gives the
+gradient with respect to the network input (the TD3 actor step reads it
+from the critic) and forms no weight products.
 """
 
 from __future__ import annotations
@@ -133,18 +139,12 @@ class SlimMask:
 
 
 class Grads:
-    """Full-shape parameter gradients (zero on severed entries), laid out and
-    viewed like SlimmableMLP.params, plus the gradient with respect to the
-    network input."""
+    """Full-shape parameter gradients, laid out and viewed like
+    SlimmableMLP.params: zero on entries that no pass it holds reached."""
 
     def __init__(self, spec: MLPSpec):
         self.params = np.zeros(spec.param_count)
         self.weights, self.biases = _layer_views(self.params, spec)
-        self.inputs: np.ndarray | None = None
-
-    def add_(self, other: "Grads") -> "Grads":
-        self.params += other.params
-        return self
 
     def all_finite(self) -> bool:
         return bool(np.isfinite(self.params).all())
@@ -235,38 +235,56 @@ class SlimmableMLP:
         hi = np.asarray(spec.output_high)
         return lo + 0.5 * (t + 1.0) * (hi - lo), t
 
-    def backward(self, cache, grad_output) -> Grads:
-        """Gradients of a scalar loss given d(loss)/d(output), through the
-        forward's active blocks; severed parameters get exactly zero."""
+    def _output_delta(self, out_aux, grad_output, single) -> np.ndarray:
+        """d(loss)/d(pre-activation output) from d(loss)/d(output), batched."""
         spec = self.spec
-        layers, zs, acts, out_aux, single = cache
         g = np.asarray(grad_output, dtype=float)
         if single:
             g = g[None, :]
         if spec.output_activation == "identity":
-            dz = g
-        elif spec.output_activation == "tanh":
-            dz = g * spec.output_scale * (1.0 - out_aux**2)
-        else:
-            hi = np.asarray(spec.output_high)
-            lo = np.asarray(spec.output_low)
-            dz = g * 0.5 * (hi - lo) * (1.0 - out_aux**2)
+            return g
+        if spec.output_activation == "tanh":
+            return g * spec.output_scale * (1.0 - out_aux**2)
+        hi = np.asarray(spec.output_high)
+        lo = np.asarray(spec.output_low)
+        return g * 0.5 * (hi - lo) * (1.0 - out_aux**2)
 
-        grads = Grads(spec)
+    def backward(self, cache, grad_output, into: Grads | None = None) -> Grads:
+        """Parameter gradients of a scalar loss given d(loss)/d(output),
+        through the forward's active blocks. Without `into` they fill a
+        fresh Grads, zero on severed parameters; with it each active block
+        is added into `into`, which is returned. The input gradient is not
+        formed: `input_grad` gives it."""
+        layers, zs, acts, out_aux, single = cache
+        dz = self._output_delta(out_aux, grad_output, single)
+        grads = Grads(self.spec) if into is None else into
         for i in range(len(layers) - 1, -1, -1):
             rows, h, W, _ = layers[i]
-            grads.weights[i][rows, :h] = acts[i].T @ dz
-            grads.biases[i][:h] = dz.sum(axis=0)
-            da = dz @ W.T
+            if into is None:
+                grads.weights[i][rows, :h] = acts[i].T @ dz
+                grads.biases[i][:h] = dz.sum(axis=0)
+            else:
+                grads.weights[i][rows, :h] += acts[i].T @ dz
+                grads.biases[i][:h] += dz.sum(axis=0)
+            if i:
+                dz = (dz @ W.T) * (zs[i - 1] > 0)
+        return grads
+
+    def input_grad(self, cache, grad_output) -> np.ndarray:
+        """d(loss)/d(input) given d(loss)/d(output), shaped like the forward's
+        input and zero on masked-out inputs; no weight products are formed."""
+        layers, zs, _, out_aux, single = cache
+        dz = self._output_delta(out_aux, grad_output, single)
+        for i in range(len(layers) - 1, -1, -1):
+            da = dz @ layers[i][2].T
             if i:
                 dz = da * (zs[i - 1] > 0)
-
-        idx, dx = layers[0][0], da
+        idx = layers[0][0]
         if not isinstance(idx, slice):      # zero on the masked-out inputs
-            dx = np.zeros((da.shape[0], spec.u))
+            dx = np.zeros((da.shape[0], self.spec.u))
             dx[:, idx] = da
-        grads.inputs = dx[0] if single else dx
-        return grads
+            da = dx
+        return da[0] if single else da
 
     def truncated(self, mask: SlimMask) -> "SlimmableMLP":
         """Physically truncated copy: weight matrices sliced to the active
@@ -318,25 +336,31 @@ class Adam:
         `p = f32(p - lr * (m / c1) / (sqrt(v / c2) + eps))`. It allocates
         one two-row scratch array (numerator, denominator) and the float32
         copy of the result, both for the step alone: a scratch kept between
-        steps would add its size to every later memory peak. TrainingError,
-        with `params` untouched, when the gradient or the float32 result is
-        not finite."""
+        steps would add its size to every later memory peak. TrainingError
+        when the gradient, its square or the float32 result is not finite;
+        `params` are then untouched, and on a non-finite gradient or square
+        `m`, `v` and `t` too."""
         if not grads.all_finite():
             bad = np.count_nonzero(~np.isfinite(grads.params))
             raise TrainingError(f"non-finite gradient in {bad} of {grads.params.size} parameters")
-        self.t += 1
+        p, g, m, v = self.net.params, grads.params, self.m, self.v
         b1, b2 = self.beta1, self.beta2
+        num, den = np.empty((2, p.size))
+        try:
+            # an inf here would stay in v for good and freeze its parameter
+            with np.errstate(over="raise"):
+                np.multiply(1 - b2, g, out=den)
+                den *= g
+        except FloatingPointError as e:
+            raise TrainingError(f"step {self.t + 1}: squaring the gradient: {e}") from None
+        self.t += 1
         c1 = 1.0 - b1**self.t
         c2 = 1.0 - b2**self.t
-        p, g, m, v = self.net.params, grads.params, self.m, self.v
-        num, den = np.empty((2, p.size))
         m *= b1
         np.multiply(1 - b1, g, out=num)
         m += num
         v *= b2
-        np.multiply(1 - b2, g, out=num)
-        num *= g
-        v += num
+        v += den
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
         den += self.eps

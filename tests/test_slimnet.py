@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from slimnav.auxtrain import ReplayBuffer, TD3Agent, TD3Config
-from slimnav.distill import DistillConfig, train_navigation
+from slimnav.distill import DistillConfig, _mse_grad, _sandwich, train_navigation
 from slimnav.errors import ConfigError, LoadError, TrainingError
 from slimnav.pathoracle import LabeledDataset
 from slimnav.slimnet import (Adam, Grads, MLPSpec, SlimMask, SlimmableMLP,
                              active_params, active_width, load_weights,
                              save_weights)
-from slimnav.worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, OBS_WIDTH,
-                              ObservationLayout)
+from slimnav.worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, MIN_POWER,
+                              OBS_WIDTH, ObservationLayout)
 from slim_reference import reference_backward, reference_forward
 
 
@@ -252,7 +252,7 @@ def test_input_gradient_matches_finite_differences():
     x = rng.normal(size=6)
     y, cache = net.forward(x, return_cache=True)
     g = np.ones_like(y)
-    dx = net.backward(cache, g).inputs
+    dx = net.input_grad(cache, g)
     eps = 1e-6
     for i in range(6):
         xp, xm = x.copy(), x.copy()
@@ -293,7 +293,7 @@ def _assert_matches_reference(net, mask, rng):
         grads = net.backward(cache, g)
         ref = reference_backward(net, cache_ref, g)
         assert grads.params.tobytes() == ref.params.tobytes()
-        assert grads.inputs.tobytes() == ref.inputs.tobytes()
+        assert net.input_grad(cache, g).tobytes() == ref.inputs.tobytes()
 
 
 def test_slicer_matches_reference_at_every_width():
@@ -325,6 +325,66 @@ def test_slicer_matches_reference_for_td3_nets():
     for net in (critic, actor):
         _assert_matches_reference(net, SlimMask(net.spec), rng)
         _assert_matches_reference(net, SlimMask(net.spec, 0.25), rng)
+
+
+def _assert_sandwich_matches_reference(net, masks, rng):
+    """distill's sandwich, which adds every pass into the first pass's
+    Grads with backward(into=), byte-equal to the reference passes' fresh
+    gradients added in pass order."""
+    x = rng.uniform(0.0, 1.0, size=(64, net.spec.u))
+    t = rng.uniform(-1.0, 1.0, size=(64, net.spec.v))
+    grads, _ = _sandwich(net, x, t, masks)
+    soft = reference_forward(net, x, masks[0])
+    total = None
+    for k, mask in enumerate(masks):
+        y, cache = reference_forward(net, x, mask, return_cache=True)
+        ref = reference_backward(net, cache, _mse_grad(y, t if k == 0 else soft))
+        total = ref.params if total is None else total + ref.params
+    assert grads.params.tobytes() == total.tobytes()
+
+
+def test_sandwich_accumulator_matches_reference_at_every_width():
+    net = _random_net(NAV_SPEC, 38)
+    rng = np.random.default_rng(39)
+    lo = active_width(0.25, 128)
+    for h in range(lo, 129):    # every width from rho_min 0.25 up, in both draw slots
+        masks = [SlimMask(NAV_SPEC, r) for r in (1.0, 0.25, h / 128, (lo + 128 - h) / 128)]
+        _assert_sandwich_matches_reference(net, masks, rng)
+
+
+def test_sandwich_accumulator_matches_reference_at_every_power_mask():
+    net = _random_net(NAV_SPEC, 40)
+    layout = ObservationLayout(4)
+    rng = np.random.default_rng(41)
+    for p_f in FORWARD_LEVELS:
+        for p_d in DOWNWARD_LEVELS:
+            keep = layout.input_mask(p_f, p_d)
+            masks = [SlimMask(NAV_SPEC),
+                     SlimMask(NAV_SPEC, 1.0, layout.input_mask(*MIN_POWER)),
+                     SlimMask(NAV_SPEC, 1.0, keep), SlimMask(NAV_SPEC, 0.25, keep)]
+            _assert_sandwich_matches_reference(net, masks, rng)
+
+
+def test_input_grad_matches_reference_with_zero_masked_columns():
+    net = _random_net(NAV_SPEC, 42)
+    layout = ObservationLayout(4)
+    rng = np.random.default_rng(43)
+    for p_f in FORWARD_LEVELS:
+        for p_d in DOWNWARD_LEVELS:
+            keep = layout.input_mask(p_f, p_d)
+            for rho in (1.0, 0.25):
+                mask = SlimMask(NAV_SPEC, rho, keep)
+                for x in (rng.uniform(0.0, 1.0, size=NAV_SPEC.u),
+                          rng.uniform(0.0, 1.0, size=(64, NAV_SPEC.u))):
+                    g = rng.normal(size=(*x.shape[:-1], NAV_SPEC.v))
+                    _, cache = net.forward(x, mask, return_cache=True)
+                    _, cache_ref = reference_forward(net, x, mask, return_cache=True)
+                    dx = net.input_grad(cache, g)
+                    ref = reference_backward(net, cache_ref, g)
+                    assert dx.shape == x.shape
+                    assert dx.tobytes() == ref.inputs.tobytes()
+                    masked = dx[..., ~keep]         # +0.0 on every masked-out input
+                    assert masked.tobytes() == bytes(masked.nbytes)
 
 
 # --- optimizers ---
@@ -368,6 +428,21 @@ def test_adam_in_place_step_equals_the_expression():
              ).astype(np.float32).astype(np.float64)
         assert net.params.tobytes() == p.tobytes()
         assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()
+
+
+def test_adam_rejects_gradient_whose_square_overflows(recwarn):
+    # (1 - b2) * g * g overflows for a finite g above about 1e154; an inf in
+    # v would stay there and freeze its parameter
+    net = SlimmableMLP(MLPSpec(u=3, q=(4,), v=1), seed=25)
+    opt = Adam(net)
+    grads = Grads(net.spec)
+    grads.params[:] = 1e200
+    before = net.params.copy()
+    with pytest.raises(TrainingError, match="squaring the gradient"):
+        opt.step(grads)
+    assert not recwarn.list
+    assert net.params.tobytes() == before.tobytes()
+    assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
 
 def test_non_finite_gradients_rejected():
@@ -448,6 +523,8 @@ PINNED_WEIGHT_SHA256 = {
     "nav_S": "b7611135b60df83fc4f687faece07568f9010f3d267530db2ebf28b19cd56be1",
     "actor": "31fe154a543020919d74ed5f683d717ebb1d340c28278cedde8eb2ab40c88a50",
     "actor_target": "d625c9edc3958e7a6bfdb1a204e650943680a30f9b441b980c5ea8ba2a83eb6d",
+    "critic1": "2f11ec5226bc07222ac879ab6b5b76f6ae20bab462027e409253b1b7e68df6c4",
+    "critic2": "be3b09d001bafcc19324b0dadfbefc2666cc3cf81bd665e1967c241f58fa01ce",
     "critic1_target": "f40719c895161e3e61b148c656633e88d677e037b0a69f42c1bc516a1f6bec62",
     "critic2_target": "3e12099827e5728c034dd11088eb27e2306aeb02b65e013c3038aa432715cd16",
 }
@@ -483,7 +560,8 @@ def test_training_steps_pin_weight_file_bytes(tmp_path):
                 rng.normal(), rng.normal(size=5), float(rng.uniform() < 0.2))
     for _ in range(3):
         agent.update(buf, rng)
-    for name in ("actor", "actor_target", "critic1_target", "critic2_target"):
+    for name in ("actor", "actor_target", "critic1", "critic2", "critic1_target",
+                 "critic2_target"):
         nets[name] = getattr(agent, name)
 
     assert {name: digest(net) for name, net in nets.items()} == PINNED_WEIGHT_SHA256
