@@ -250,6 +250,8 @@ class AuxConfig(TD3Config):
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.gate_distance is not None and self.gate_distance <= 0:
             raise ConfigError(f"gate_distance must be positive, got {self.gate_distance}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("actor_hidden", "critic_hidden"):
             widths = getattr(self, name)
             if not widths or min(widths) < 1:

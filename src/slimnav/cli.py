@@ -42,6 +42,7 @@ import sys
 import time
 import typing
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -85,8 +86,12 @@ REPORT_FILES = {
     "timing": "report_timing.csv",
 }
 
-EPISODE_COLUMNS = ("episode_id,t,x,y,z,rho,p_f,p_d,reward,m_active,"
-                   "fwd_depth,outcome,opt_steps")
+# the episode table's columns in file order, each with the type it parses as
+EPISODE_FIELDS = (("episode_id", int), ("t", int), ("x", float), ("y", float),
+                  ("z", float), ("rho", float), ("p_f", int), ("p_d", int),
+                  ("reward", float), ("m_active", int), ("fwd_depth", float),
+                  ("outcome", str), ("opt_steps", int))
+EPISODE_COLUMNS = ",".join(name for name, _ in EPISODE_FIELDS)
 
 
 # configuration tree
@@ -227,6 +232,9 @@ class ExperimentConfig:
                               f"got {list(o.distances)}")
         if o.label_jitter < 0:
             raise ConfigError(f"oracle.label_jitter must be >= 0, got {o.label_jitter}")
+        if o.clearance_weight < 0:
+            raise ConfigError(f"oracle.clearance_weight must be >= 0, "
+                              f"got {o.clearance_weight}")
         if o.crowd_boost < 1:
             raise ConfigError(f"oracle.crowd_boost must be a positive integer, "
                               f"got {o.crowd_boost}")
@@ -256,6 +264,9 @@ class ExperimentConfig:
         if not all(q and min(q) >= 1 for q in (*b.sizes, b.aux_hidden)):
             raise ConfigError("bench.sizes and bench.aux_hidden widths must be "
                               "non-empty and positive")
+        for name, sec in (("world", w), ("oracle", o), ("eval", e), ("bench", b)):
+            if sec.seed < 0:
+                raise ConfigError(f"{name}.seed must be >= 0, got {sec.seed}")
 
     def nav_spec(self) -> MLPSpec:
         return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH, q=self.nav.hidden,
@@ -312,6 +323,8 @@ def load_config(path: str | None, overrides) -> ExperimentConfig:
                 data = json.load(f)
         except FileNotFoundError as e:
             raise ConfigError(f"config file not found: {path}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {path}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
         if not isinstance(data, dict):
@@ -394,8 +407,10 @@ def _load_actor(cfg: ExperimentConfig) -> SlimmableMLP:
 
 
 def write_csv(path: str, header: str, rows, config_hash: str) -> None:
+    """Each row is a tuple of values, written by `_fmt`; a caller that
+    needs other text passes a string."""
     lines = [f"# config={config_hash}", header]
-    lines.extend(rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -547,7 +562,7 @@ def cmd_train_nav(cfg: ExperimentConfig) -> int:
         reports.append(report)
     save_weights(net, _artifact(cfg, NAV_WEIGHTS_FILE),
                  config_hash=cfg.config_hash())
-    rows = [f"{phase},{e},{_fmt(tr)},{_fmt(va)}"
+    rows = [(phase, e, tr, va)
             for phase, rep in enumerate(reports)
             for e, (tr, va) in enumerate(zip(rep.train_losses,
                                              rep.val_losses))]
@@ -567,17 +582,15 @@ def _flight(cfg: ExperimentConfig) -> dict:
                 max_range=cfg.sensor.max_range)
 
 
-def _episode_rows(logs, start_id: int = 0):
+def _episode_rows(logs) -> list[tuple]:
+    """One row per step of `logs`, in `EPISODE_FIELDS` order."""
     rows = []
     for i, log in enumerate(logs):
         opt = log.optimal_steps if log.optimal_steps is not None else -1
         for t, s in enumerate(log.steps):
-            rows.append(",".join([
-                str(start_id + i), str(t), _fmt(float(s.position[0])),
-                _fmt(float(s.position[1])), _fmt(float(s.position[2])),
-                _fmt(float(s.rho)), str(s.p_f), str(s.p_d),
-                _fmt(float(s.reward)), str(s.m_active),
-                _fmt(float(s.mean_forward_depth)), log.outcome, str(opt)]))
+            rows.append((i, t, *map(float, s.position), float(s.rho), s.p_f,
+                         s.p_d, float(s.reward), s.m_active,
+                         float(s.mean_forward_depth), log.outcome, opt))
     return rows
 
 
@@ -587,22 +600,21 @@ def _episode_row(r: list[str], param_count: int
     ValueError on a field that does not parse, a non-finite number, rho
     outside (0, 1], a power level the sensor lacks, an m_active outside
     [1, param_count] or an unknown outcome."""
-    ep, t, p_f, p_d, m_active, opt = (int(r[i]) for i in (0, 1, 6, 7, 9, 12))
-    x, y, z, rho, rew, depth = (float(r[i]) for i in (2, 3, 4, 5, 8, 10))
-    if not all(math.isfinite(v) for v in (x, y, z, rho, rew, depth)):
+    f = SimpleNamespace(**{n: kind(v) for (n, kind), v in zip(EPISODE_FIELDS, r)})
+    if not all(math.isfinite(v) for v in vars(f).values() if isinstance(v, float)):
         raise ValueError("non-finite number")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho {rho} outside (0, 1]")
-    if p_f not in worldsim.FORWARD_LEVELS or p_d not in worldsim.DOWNWARD_LEVELS:
-        raise ValueError(f"power levels ({p_f}, {p_d}) outside the sensor's")
-    if not 1 <= m_active <= param_count:
-        raise ValueError(f"m_active {m_active} outside [1, {param_count}]")
-    if r[11] not in (REACHED, COLLIDED, TIMEOUT):
-        raise ValueError(f"unknown outcome {r[11]!r}")
-    step = EpisodeStep(position=np.array([x, y, z]), rho=rho, p_f=p_f, p_d=p_d,
-                       reward=rew, m_active=m_active, mean_forward_depth=depth,
-                       mean_downward_depth=0.0)
-    return ep, t, step, r[11], opt
+    if not 0.0 < f.rho <= 1.0:
+        raise ValueError(f"rho {f.rho} outside (0, 1]")
+    if f.p_f not in worldsim.FORWARD_LEVELS or f.p_d not in worldsim.DOWNWARD_LEVELS:
+        raise ValueError(f"power levels ({f.p_f}, {f.p_d}) outside the sensor's")
+    if not 1 <= f.m_active <= param_count:
+        raise ValueError(f"m_active {f.m_active} outside [1, {param_count}]")
+    if f.outcome not in (REACHED, COLLIDED, TIMEOUT):
+        raise ValueError(f"unknown outcome {f.outcome!r}")
+    step = EpisodeStep(position=np.array([f.x, f.y, f.z]), rho=f.rho, p_f=f.p_f,
+                       p_d=f.p_d, reward=f.reward, m_active=f.m_active,
+                       mean_forward_depth=f.fwd_depth, mean_downward_depth=0.0)
+    return f.episode_id, f.t, step, f.outcome, f.opt_steps
 
 
 def _logs_from_rows(rows, path: str, param_count: int) -> list[EpisodeLog]:
@@ -642,18 +654,14 @@ def cmd_train_aux(cfg: ExperimentConfig) -> int:
     save_weights(result.agent.critic2, _artifact(cfg, AUX_CRITIC_FILES[1]), chash)
     write_csv(_artifact(cfg, AUX_EPISODES_FILE), EPISODE_COLUMNS,
               _episode_rows(result.episodes), chash)
-    update_rows = [
-        f"{i},{u['env_steps']},{_fmt(u['curriculum_distance'])},"
-        f"{_fmt(u['critic1'])},{_fmt(u['critic2'])},{_fmt(u['q_mean'])},"
-        f"{_fmt(u['actor'])}"
-        for i, u in enumerate(result.update_log)]
+    update_rows = [(i, u["env_steps"], u["curriculum_distance"], u["critic1"],
+                    u["critic2"], u["q_mean"], u["actor"])
+                   for i, u in enumerate(result.update_log)]
     write_csv(_artifact(cfg, AUX_UPDATES_FILE),
               "update,env_steps,distance,critic1_loss,critic2_loss,q_mean,actor_loss",
               update_rows, chash)
-    eval_rows = [
-        f"{e['episode']},{e['env_steps']},{_fmt(e['distance'])},"
-        f"{_fmt(e['success'])},{_fmt(e['mean_rho'])}"
-        for e in result.eval_history]
+    eval_rows = [(e["episode"], e["env_steps"], e["distance"], e["success"],
+                  e["mean_rho"]) for e in result.eval_history]
     write_csv(_artifact(cfg, AUX_EVAL_FILE),
               "episode,env_steps,distance,success_rate,mean_rho", eval_rows, chash)
     gate = result.gate
@@ -689,7 +697,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
         logs = fly_tasks(sampler, tasks, nav, cfg.mode, weights=cfg.reward,
                          max_steps=max(60, 5 * int(d)), **_flight(cfg))
         rate = success_rate(logs)
-        rows.append(f"{d},{len(logs)},{_fmt(rate)},{_fmt(length_ratio(logs))}")
+        rows.append((str(d), len(logs), rate, length_ratio(logs)))
         if tasks:
             print(f"distance {d}: success {rate:.3f} over {len(logs)} episodes")
         else:
@@ -703,12 +711,12 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     rows = []
     if cfg.mode == "C":
         for rho, rmse in distill.rmse_by_rho(nav, test_ds, e.rho_grid).items():
-            rows.append(f"{_fmt(rho)},{len(test_ds)},{_fmt(rmse)}")
+            rows.append((rho, len(test_ds), rmse))
         header = "rho,samples,rmse"
     else:
         for (p_f, p_d), rmse in distill.rmse_by_power(nav, test_ds,
                                                       layout).items():
-            rows.append(f"{p_f},{p_d},{len(test_ds)},{_fmt(rmse)}")
+            rows.append((p_f, p_d, len(test_ds), rmse))
         header = "p_f,p_d,samples,rmse"
     write_csv(_artifact(cfg, EVAL_RMSE_FILE), header, rows, chash)
 
@@ -733,8 +741,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 
     def copy_csv(src: str, table: str) -> None:
         header, rows = read_csv(src, chash)
-        write_csv(_artifact(cfg, REPORT_FILES[table]), ",".join(header),
-                  [",".join(r) for r in rows], chash)
+        write_csv(_artifact(cfg, REPORT_FILES[table]), ",".join(header), rows, chash)
 
     # success vs distance and the error grid are straight copies
     copy_csv(_require(cfg, EVAL_SUCCESS_FILE, "eval"), "success")
@@ -758,20 +765,20 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         out = []
         for k in sorted(groups):
             vals = np.asarray(groups[k], dtype=float)
-            means = ",".join(_fmt(vals[:, i].mean()) for i in range(3))
-            out.append((k, f"{len(vals)},{means}"))
+            means = (vals[:, i].mean() for i in range(3))
+            out.append((k, (len(vals), *means)))
         return out
 
     # heatmap of mean adaptation per map cell
     bin_m = cfg.eval.heatmap_bin * cfg.world.resolution
-    rows = [f"{bx},{by},{stats}" for (bx, by), stats in group_means(
+    rows = [(bx, by, *stats) for (bx, by), stats in group_means(
         lambda s: (int(s.position[0] // bin_m), int(s.position[1] // bin_m)))]
     write_csv(_artifact(cfg, REPORT_FILES["heatmap"]),
               "x_bin,y_bin,steps,mean_rho,mean_p_f,mean_p_d", rows, chash)
 
     # adaptation vs forward clutter (normalized mean depth bins)
     width = cfg.eval.depth_bin_width
-    rows = [f"{_fmt(b * width)},{_fmt((b + 1) * width)},{stats}"
+    rows = [(b * width, (b + 1) * width, *stats)
             for b, stats in group_means(
                 lambda s: int(s.mean_forward_depth / width))]
     write_csv(_artifact(cfg, REPORT_FILES["depth_bins"]),
@@ -780,11 +787,11 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     # resource summary over successful adaptation episodes
     if ok_logs:
         eta = compute_eta(ok_logs, nav.spec)
-        summary = (f"{cfg.mode},{eta.n_episodes},{_fmt(eta.mean_rho)},"
-                   f"{format_percent(eta.eta_m)},{_fmt(eta.mean_p_f)},"
-                   f"{_fmt(eta.mean_p_d)},{format_percent(eta.eta_w, 1)}")
+        summary = (cfg.mode, eta.n_episodes, eta.mean_rho,
+                   format_percent(eta.eta_m), eta.mean_p_f, eta.mean_p_d,
+                   format_percent(eta.eta_w, 1))
     else:
-        summary = f"{cfg.mode},0,nan,nan,nan,nan,nan"
+        summary = (cfg.mode, 0, *["nan"] * 5)
     write_csv(_artifact(cfg, REPORT_FILES["summary"]),
               "mode,episodes,mean_rho,eta_m,mean_p_f,mean_p_d,eta_w",
               [summary], chash)
@@ -829,9 +836,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     mean_rho = float(np.mean([rho for rho, _ in actions]))
     rows = []
     for size in b.sizes:
-        spec = MLPSpec(u=n_in, q=size, v=3,
-                       output_activation="tanh",
-                       output_scale=cfg.nav.output_scale)
+        spec = dataclasses.replace(cfg.nav_spec(), q=size)
         nav = SlimmableMLP(spec, seed=b.seed)
         # materialize each distinct truncated sub-network once; at flight
         # time the sub-network persists until the action changes
@@ -859,8 +864,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         u = float(np.median(t_slim))
         speedup = (v - u) / v
         label = "x".join(str(h) for h in size)
-        rows.append(f"{label},{_fmt(v)},{_fmt(u)},{_fmt(mean_rho)},"
-                    f"{_fmt(speedup)}")
+        rows.append((label, v, u, mean_rho, speedup))
         print(f"size [{label}]: full {v * 1e3:.2f} ms, adapted {u * 1e3:.2f} ms, "
               f"speedup {speedup:+.3f}")
     write_csv(_artifact(cfg, BENCH_FILE),

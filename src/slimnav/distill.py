@@ -42,6 +42,8 @@ class DistillConfig:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _mse_grad(y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -252,8 +252,9 @@ def load_world(path) -> tuple[VoxelGrid, str]:
             if key == "config":
                 config_hash = val
         body = body[1:]
+    # the runs must cover the header's voxels exactly before any are allocated
     total = nx * ny * nz
-    flat = np.empty(total, dtype=bool)
+    bits, counts = [], []
     pos = 0
     for ln in body:
         parts = ln.split()
@@ -263,10 +264,12 @@ def load_world(path) -> tuple[VoxelGrid, str]:
             raise LoadError(f"{path}: bad run line {ln!r}") from e
         if bit not in (0, 1) or n <= 0 or pos + n > total:
             raise LoadError(f"{path}: invalid run {ln!r}")
-        flat[pos:pos + n] = bool(bit)
+        bits.append(bit)
+        counts.append(n)
         pos += n
     if pos != total:
         raise LoadError(f"{path}: occupancy has {pos} voxels, expected {total}")
+    flat = np.repeat(np.array(bits, dtype=bool), counts)
     grid = VoxelGrid(dims=(nx, ny, nz), resolution=resolution,
                      occupancy=flat.reshape((nx, ny, nz)), seed=seed,
                      density=density)

@@ -154,6 +154,14 @@ def test_from_dict_converts_lists_to_tuples():
     {"bench": {"sizes": [[]]}},
     {"bench": {"aux_hidden": [0]}},
     {"bench": {"aux_hidden": []}},
+    # negative seeds reached numpy's generator and failed there
+    {"world": {"seed": -1}},
+    {"oracle": {"seed": -1}},
+    {"nav": {"seed": -1}},
+    {"aux": {"seed": -1}},
+    {"eval": {"seed": -1}},
+    {"bench": {"seed": -1}},
+    {"oracle": {"clearance_weight": -0.5}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
@@ -187,6 +195,11 @@ def test_load_config_missing_and_invalid_file(tmp_path):
     bad.write_text("[1]")
     with pytest.raises(ConfigError):
         load_config(str(bad), None)
+    bad.write_bytes(b'{"mode": "\xff"}')   # not UTF-8
+    with pytest.raises(ConfigError):
+        load_config(str(bad), None)
+    with pytest.raises(ConfigError):       # a directory
+        load_config(str(tmp_path), None)
 
 
 def test_load_config_overrides(tmp_path):
@@ -231,7 +244,7 @@ def test_write_config_copy_round_trip(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, "a,b", ["1,2.5", "3,x"], "f00d")
+    write_csv(path, "a,b", [(1, 2.5), (3, "x")], "f00d")
     header, rows = read_csv(path, "f00d")
     assert header == ["a", "b"]
     assert rows == [["1", "2.5"], ["3", "x"]]
@@ -247,7 +260,7 @@ def test_csv_empty_rows(tmp_path):
 
 def test_csv_hash_mismatch(tmp_path):
     path = str(tmp_path / "t.csv")
-    write_csv(path, "a", ["1"], "f00d")
+    write_csv(path, "a", [(1,)], "f00d")
     with pytest.raises(DependencyError):
         read_csv(path, "beef")
 
@@ -276,8 +289,8 @@ def test_csv_rejects_bytes_that_are_not_text(tmp_path):
 
 def test_csv_rejects_rows_of_another_width(tmp_path):
     path = str(tmp_path / "t.csv")
-    for row in ("1", "1,2,3"):
-        write_csv(path, "a,b", ["1,2", row], "f00d")
+    for row in ((1,), (1, 2, 3)):
+        write_csv(path, "a,b", [(1, 2), row], "f00d")
         with pytest.raises(LoadError, match="line 4"):
             read_csv(path, "f00d")
 
@@ -304,9 +317,16 @@ def _toy_log(outcome, opt_steps):
                       optimal_steps=opt_steps)
 
 
-def test_episode_rows_round_trip():
+def _episode_file_rows(logs, tmp_path) -> list[list[str]]:
+    """The rows of `logs` as the episode CSV stores and read_csv returns them."""
+    path = str(tmp_path / "episodes.csv")
+    write_csv(path, cli.EPISODE_COLUMNS, cli._episode_rows(logs), "f00d")
+    return read_csv(path, "f00d")[1]
+
+
+def test_episode_rows_round_trip(tmp_path):
     logs = [_toy_log("reached", 7), _toy_log("timeout", None)]
-    rows = [r.split(",") for r in cli._episode_rows(logs)]
+    rows = _episode_file_rows(logs, tmp_path)
     assert len(rows) == 4
     back = cli._logs_from_rows(rows, "episodes.csv", 1000)
     assert len(back) == 2
@@ -325,24 +345,27 @@ def test_episode_rows_round_trip():
     assert got.mean_forward_depth == pytest.approx(orig.mean_forward_depth)
 
 
-# one corruption of the first data row per case (column index, text)
+# one corruption of the first data row per case (column, text)
 BAD_EPISODE_FIELDS = [
-    (6, "x"),           # p_f does not parse
-    (0, "1.5"),         # episode id is not an integer
-    (5, "nan"),         # rho
-    (2, "inf"),         # x position
-    (5, "1.5"),         # rho above 1
-    (5, "0"),           # rho at 0
-    (6, "4"),           # forward power level the sensor lacks
-    (7, "-1"),          # downward power level the sensor lacks
-    (11, "lost"),       # outcome
+    ("p_f", "x"),           # does not parse
+    ("episode_id", "1.5"),  # not an integer
+    ("rho", "nan"),
+    ("x", "inf"),
+    ("rho", "1.5"),         # above 1
+    ("rho", "0"),
+    ("p_f", "4"),           # a forward power level the sensor lacks
+    ("p_d", "-1"),          # a downward power level the sensor lacks
+    ("outcome", "lost"),
 ]
+EPISODE_NAMES = cli.EPISODE_COLUMNS.split(",")
 
 
-@pytest.mark.parametrize("col,text", BAD_EPISODE_FIELDS)
-def test_logs_from_rows_rejects_bad_fields(col, text):
-    rows = [r.split(",") for r in cli._episode_rows([_toy_log("reached", 7)])]
-    rows[0][col] = text
+# each id leads with the column's position in the file
+@pytest.mark.parametrize("col,text", BAD_EPISODE_FIELDS, ids=[
+    f"{EPISODE_NAMES.index(col)}-{text}" for col, text in BAD_EPISODE_FIELDS])
+def test_logs_from_rows_rejects_bad_fields(col, text, tmp_path):
+    rows = _episode_file_rows([_toy_log("reached", 7)], tmp_path)
+    rows[0][EPISODE_NAMES.index(col)] = text
     with pytest.raises(LoadError, match="episodes.csv: episode row 1"):
         cli._logs_from_rows(rows, "episodes.csv", 1000)
 

@@ -111,6 +111,9 @@ def test_load_world_rejects_malformed(tmp_path):
     p.write_text("NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=0.0\n2048 7\n")
     with pytest.raises(LoadError):          # bit must be 0/1
         load_world(p)
+    p.write_text("NAVIWORLD v1 100000 100000 100000 1.0\n")
+    with pytest.raises(LoadError, match="occupancy has 0 voxels"):
+        load_world(p)                       # refused before allocating
     for text in (b"NAVIWORLD v1 16 16 8 1.0\n# seed=x density=0.0\n2048 0\n",
                  b"NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=dense\n2048 0\n",
                  b"NAVIWORLD v1 -16 16 8 1.0\n# seed=0 density=0.0\n2048 0\n",
