@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Range, check_ranges
 from .slimnet import Adam, MLPSpec, SlimMask, SlimmableMLP, active_params
 from .worldsim import (ACTIVE, COLLIDED, DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE,
                        DEFAULT_MAX_STEP, MAX_POWER, MIN_POWER, Flight,
@@ -36,17 +37,14 @@ class RewardWeights:
     """Per-step reward coefficients: collision and goal terminals, distance
     progress, time, compute (rho) and sensing (power sum) penalties."""
 
-    collision: float = 10.0
-    goal: float = 10.0
-    progress: float = 1.0
-    time: float = 0.1
-    compute: float = 0.1
-    sensing: float = 0.05
+    collision: Annotated[float, Range(0)] = 10.0
+    goal: Annotated[float, Range(0)] = 10.0
+    progress: Annotated[float, Range(0)] = 1.0
+    time: Annotated[float, Range(0)] = 0.1
+    compute: Annotated[float, Range(0)] = 0.1
+    sensing: Annotated[float, Range(0)] = 0.05
 
-    def __post_init__(self):
-        for name in ("collision", "goal", "progress", "time", "compute", "sensing"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"reward weight {name} must be >= 0")
+    __post_init__ = check_ranges
 
 
 def reward(d: float, terminal: str, rho: float, p_f: float, p_d: float,
@@ -103,37 +101,24 @@ class ReplayBuffer:
 
 @dataclass
 class TD3Config:
-    gamma: float = 0.99
-    tau: float = 0.005
-    policy_delay: int = 2
-    exploration_steps: int = 2000
-    action_noise_std: float = 0.1
-    target_noise_std: float = 0.2
-    target_noise_clip: float = 0.5
-    batch_size: int = 128
+    gamma: Annotated[float, Range(0, 1, lo_open=True, hi_open=True)] = 0.99
+    tau: Annotated[float, Range(0, 1, lo_open=True)] = 0.005
+    policy_delay: Annotated[int, Range(1)] = 2
+    exploration_steps: Annotated[int, Range(0)] = 2000
+    action_noise_std: Annotated[float, Range(0)] = 0.1
+    target_noise_std: Annotated[float, Range(0)] = 0.2
+    target_noise_clip: Annotated[float, Range(0)] = 0.5
+    batch_size: Annotated[int, Range(1)] = 128
     buffer_capacity: int = 100_000
-    lr_actor: float = 1e-3
-    lr_critic: float = 1e-3
-    max_episode_steps: int = 200
+    lr_actor: Annotated[float, Range(0, lo_open=True)] = 1e-3
+    lr_critic: Annotated[float, Range(0, lo_open=True)] = 1e-3
+    max_episode_steps: Annotated[int, Range(1)] = 200
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must be in (0, 1], got {self.tau}")
-        if self.policy_delay < 1:
-            raise ConfigError(f"policy_delay must be >= 1, got {self.policy_delay}")
-        if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
-            raise ConfigError("buffer must hold at least one batch")
-        for name in ("action_noise_std", "target_noise_std", "target_noise_clip",
-                     "exploration_steps"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.lr_actor <= 0 or self.lr_critic <= 0:
-            raise ConfigError("lr_actor and lr_critic must be positive")
-        if self.max_episode_steps < 1:
-            raise ConfigError(f"max_episode_steps must be >= 1, "
-                              f"got {self.max_episode_steps}")
+        check_ranges(self)
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigError(f"buffer_capacity must hold one batch of "
+                              f"batch_size {self.batch_size}, got {self.buffer_capacity}")
 
 
 class TD3Agent:
@@ -234,29 +219,16 @@ class AuxConfig(TD3Config):
     env-step budget, how often and how long to evaluate, and the final
     gate's episode count and distance (None: the last curriculum distance)."""
 
-    actor_hidden: tuple[int, ...] = (32, 32)
-    critic_hidden: tuple[int, ...] = (64, 64)
-    seed: int = 0
-    total_env_steps: int = 30_000
-    eval_every_episodes: int = 20
-    eval_episodes: int = 10
-    gate_episodes: int = 20
-    gate_distance: float | None = 20.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("eval_every_episodes", "eval_episodes", "gate_episodes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.gate_distance is not None and self.gate_distance <= 0:
-            raise ConfigError(f"gate_distance must be positive, got {self.gate_distance}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("actor_hidden", "critic_hidden"):
-            widths = getattr(self, name)
-            if not widths or min(widths) < 1:
-                raise ConfigError(f"{name} must be non-empty positive widths, "
-                                  f"got {list(widths)}")
+    actor_hidden: Annotated[tuple[int, ...], Range(1)] = (32, 32)
+    critic_hidden: Annotated[tuple[int, ...], Range(1)] = (64, 64)
+    seed: Annotated[int, Range(0)] = 0
+    # at least one env step: with none, nothing trains and the gate flies the
+    # untrained actor
+    total_env_steps: Annotated[int, Range(1)] = 30_000
+    eval_every_episodes: Annotated[int, Range(1)] = 20
+    eval_episodes: Annotated[int, Range(1)] = 10
+    gate_episodes: Annotated[int, Range(1)] = 20
+    gate_distance: Annotated[float | None, Range(0, lo_open=True)] = 20.0
 
 
 @dataclass(frozen=True)
@@ -265,16 +237,15 @@ class Curriculum:
     increment whenever evaluation success reaches the threshold, never
     decreases."""
 
-    start: float = 10.0
-    increment: float = 10.0
+    start: Annotated[float, Range(0, lo_open=True)] = 10.0
+    increment: Annotated[float, Range(0)] = 10.0
     maximum: float = 40.0
-    threshold: float = 0.8
+    threshold: Annotated[float, Range(0, 1, lo_open=True)] = 0.8
 
     def __post_init__(self):
-        if self.start <= 0 or self.increment < 0 or self.maximum < self.start:
-            raise ConfigError("curriculum needs 0 < start <= maximum and increment >= 0")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
+        check_ranges(self)
+        if self.maximum < self.start:
+            raise ConfigError(f"maximum must be >= start {self.start}, got {self.maximum}")
 
     def advance(self, distance: float, success: float) -> float:
         """The distance after an evaluation at `distance` with this success
@@ -464,14 +435,10 @@ class ConstraintConfig:
     steps <= beta * optimal_steps. alpha is the reserved slack weight for
     reporting how close a run sits to the bound."""
 
-    alpha: float = 0.5
-    beta: float = 1.5
+    alpha: Annotated[float, Range(0, 1)] = 0.5
+    beta: Annotated[float, Range(1)] = 1.5
 
-    def __post_init__(self):
-        if self.beta < 1.0:
-            raise ConfigError(f"beta must be >= 1, got {self.beta}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+    __post_init__ = check_ranges
 
 
 @dataclass

@@ -22,9 +22,12 @@ Each field is declared once. The ``reward``, ``constraint``, ``curriculum``
 and ``aux`` sections are the `auxtrain` dataclasses `RewardWeights`,
 `ConstraintConfig`, `Curriculum` and `AuxConfig`; ``nav`` extends
 `distill.DistillConfig` and ``sensor`` extends `worldsim.SensorConfig`, each
-by the fields only the CLI reads (``nav`` also trains longer by default). A
-module's own checks therefore run when its section is built, and their
-errors name the section.
+by the fields only the CLI reads (``nav`` also trains longer by default).
+A field's annotation holds its type and, for a number, its legal range:
+``Annotated[float, Range(0, 1, lo_open=True)]`` (`errors.Range`). Every
+section checks those ranges when it is built (`errors.check_ranges`), so an
+error names ``section.key``; `ExperimentConfig.validate` adds only the
+checks that span fields.
 
 Exit codes: 0 success, 2 configuration error or training that diverged
 (non-finite weights), 3 missing/mismatched dependency artifact, 4
@@ -43,6 +46,7 @@ import time
 import typing
 from dataclasses import dataclass, field
 from types import SimpleNamespace
+from typing import Annotated
 
 import numpy as np
 
@@ -52,11 +56,11 @@ from .auxtrain import (TIMEOUT, AuxConfig, ConstraintConfig, Curriculum,
                        compute_eta, decode_action, fly_tasks, format_percent,
                        length_ratio, success_rate, train_auxiliary)
 from .errors import (ConfigError, ConstraintViolation, DependencyError,
-                     LoadError, TrainingError)
-from .pathoracle import TaskSampler, build_graph, partition_regions
+                     LoadError, Range, TrainingError, check_ranges)
+from .pathoracle import TaskSampler, build_graph, partition_regions, region_edges
 from .slimnet import MLPSpec, SlimMask, SlimmableMLP, load_weights, save_weights
-from .worldsim import (COLLIDED, MIN_DIMS, OBS_WIDTH, REACHED, SensorConfig,
-                       VoxelGrid)
+from .worldsim import (COLLIDED, OBS_WIDTH, REACHED, SensorConfig, VoxelGrid,
+                       check_dims)
 
 # artifact file names, relative to the output directory
 CONFIG_FILE = "config.json"
@@ -100,63 +104,74 @@ EPISODE_COLUMNS = ",".join(name for name, _ in EPISODE_FIELDS)
 @dataclass
 class WorldSection:
     dims: tuple[int, int, int] = (64, 64, 8)
-    resolution: float = 1.0
-    density: float = 0.1
-    seed: int = 7
+    resolution: Annotated[float, Range(0, lo_open=True)] = 1.0
+    density: Annotated[float, Range(0, 1, hi_open=True)] = 0.1
+    seed: Annotated[int, Range(0)] = 7
     vertical_locked: bool = True
-    flight_z: int = 2
-    goal_radius: float = worldsim.DEFAULT_GOAL_RADIUS
-    max_step: float = worldsim.DEFAULT_MAX_STEP
+    flight_z: Annotated[int, Range(1)] = 2   # above the floor shell
+    goal_radius: Annotated[float, Range(0, lo_open=True)] = worldsim.DEFAULT_GOAL_RADIUS
+    max_step: Annotated[float, Range(0, lo_open=True)] = worldsim.DEFAULT_MAX_STEP
+
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class SensorSection(SensorConfig):
-    fifo_depth: int = 4
+    fifo_depth: Annotated[int, Range(1)] = 4
 
 
 @dataclass
 class OracleSection:
-    seed: int = 0
+    seed: Annotated[int, Range(0)] = 0
     region_fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    n_train_paths: int = 1600
-    n_val_paths: int = 60
-    n_test_paths: int = 60
-    distances: tuple[float, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45)
-    sample_tolerance: float = 0.3
-    label_jitter: float = 0.3
-    clearance_weight: float = 0.5
-    crowd_boost: int = 3
+    n_train_paths: Annotated[int, Range(1)] = 1600
+    n_val_paths: Annotated[int, Range(1)] = 60
+    n_test_paths: Annotated[int, Range(1)] = 60
+    distances: Annotated[tuple[float, ...], Range(0, lo_open=True)] = \
+        (5, 10, 15, 20, 25, 30, 35, 40, 45)
+    sample_tolerance: Annotated[float, Range(0, 1, hi_open=True)] = 0.3
+    label_jitter: Annotated[float, Range(0)] = 0.3
+    clearance_weight: Annotated[float, Range(0)] = 0.5
+    crowd_boost: Annotated[int, Range(1)] = 3
+
+    __post_init__ = check_ranges
 
 
 @dataclass
 class NavSection(distill.DistillConfig):
-    hidden: tuple[int, ...] = (128, 128)
-    output_scale: float = 2.0
-    max_epochs: int = 150
-    patience: int = 20
-    refine_rollouts: int = 900
+    hidden: Annotated[tuple[int, ...], Range(1)] = (128, 128)
+    output_scale: Annotated[float, Range(0, lo_open=True)] = 2.0
+    max_epochs: Annotated[int, Range(1)] = 150
+    patience: Annotated[int, Range(1)] = 20
+    refine_rollouts: Annotated[int, Range(0)] = 900
 
 
 @dataclass
 class EvalSection:
-    seed: int = 123
-    buckets: tuple[float, ...] = (10, 20, 30, 40)
-    episodes_per_bucket: int = 60
-    rho_grid: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
-    adapt_episodes: int = 60
-    adapt_distance: float = 20.0
-    heatmap_bin: int = 8
-    depth_bin_width: float = 0.1
-    sample_tolerance: float = 0.2
+    seed: Annotated[int, Range(0)] = 123
+    buckets: Annotated[tuple[float, ...], Range(0, lo_open=True)] = (10, 20, 30, 40)
+    episodes_per_bucket: Annotated[int, Range(1)] = 60
+    rho_grid: Annotated[tuple[float, ...], Range(0, 1, lo_open=True)] = \
+        (0.25, 0.5, 0.75, 1.0)
+    adapt_episodes: Annotated[int, Range(1)] = 60
+    adapt_distance: Annotated[float, Range(0, lo_open=True)] = 20.0
+    heatmap_bin: Annotated[int, Range(1)] = 8
+    depth_bin_width: Annotated[float, Range(0, lo_open=True)] = 0.1
+    sample_tolerance: Annotated[float, Range(0, 1, hi_open=True)] = 0.2
+
+    __post_init__ = check_ranges
 
 
 @dataclass
 class BenchSection:
-    seed: int = 0
-    sizes: tuple[tuple[int, ...], ...] = ((32,), (64, 64), (128, 128), (256, 256))
-    aux_hidden: tuple[int, ...] = (32, 32)
-    n_observations: int = 200
-    repeats: int = 5
+    seed: Annotated[int, Range(0)] = 0
+    sizes: Annotated[tuple[tuple[int, ...], ...], Range(1)] = \
+        ((32,), (64, 64), (128, 128), (256, 256))
+    aux_hidden: Annotated[tuple[int, ...], Range(1)] = (32, 32)
+    n_observations: Annotated[int, Range(1)] = 200
+    repeats: Annotated[int, Range(1)] = 5
+
+    __post_init__ = check_ranges
 
 
 @dataclass
@@ -208,65 +223,22 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
-        """Range checks that neither the field types (checked in
-        from_dict) nor the section constructors make."""
+        """The checks that span fields. Each field's own range is declared in
+        its annotation and checked when its section is built."""
         action_bounds(self.mode, self.nav.rho_min)  # rejects an unknown mode
         w = self.world
-        if any(d < m for d, m in zip(w.dims, MIN_DIMS)):
-            raise ConfigError(f"world.dims must be at least {MIN_DIMS}, got {w.dims}")
-        if not 0.0 <= w.density < 1.0:
-            raise ConfigError(f"world.density must be in [0, 1), got {w.density}")
-        if w.resolution <= 0:
-            raise ConfigError(f"world.resolution must be positive, got {w.resolution}")
-        if not 0 <= w.flight_z < w.dims[2]:
-            raise ConfigError(f"world.flight_z {w.flight_z} outside [0, {w.dims[2]})")
-        if w.goal_radius <= 0 or w.max_step <= 0:
-            raise ConfigError("world.goal_radius and world.max_step must be positive")
-        if self.sensor.fifo_depth < 1:
-            raise ConfigError(f"sensor.fifo_depth must be >= 1, got {self.sensor.fifo_depth}")
-        o = self.oracle
-        if min(o.n_train_paths, o.n_val_paths, o.n_test_paths) < 1:
-            raise ConfigError("oracle path counts must be positive")
-        if not o.distances or min(o.distances) <= 0:
-            raise ConfigError(f"oracle.distances must be non-empty and positive, "
-                              f"got {list(o.distances)}")
-        if o.label_jitter < 0:
-            raise ConfigError(f"oracle.label_jitter must be >= 0, got {o.label_jitter}")
-        if o.clearance_weight < 0:
-            raise ConfigError(f"oracle.clearance_weight must be >= 0, "
-                              f"got {o.clearance_weight}")
-        if o.crowd_boost < 1:
-            raise ConfigError(f"oracle.crowd_boost must be a positive integer, "
-                              f"got {o.crowd_boost}")
-        n = self.nav
-        if n.output_scale <= 0 or n.refine_rollouts < 0:
-            raise ConfigError("nav.output_scale must be positive and "
-                              "nav.refine_rollouts >= 0")
+        try:
+            check_dims(w.dims)
+        except ConfigError as e:
+            raise ConfigError(f"world.dims: {e}") from e
+        try:
+            region_edges(w.dims[0], self.oracle.region_fractions)
+        except ConfigError as e:
+            raise ConfigError(f"oracle.region_fractions: {e}") from e
+        if w.flight_z >= w.dims[2] - 1:
+            raise ConfigError(f"world.flight_z must be below the ceiling shell at "
+                              f"{w.dims[2] - 1}, got {w.flight_z}")
         self.nav_spec()
-        e = self.eval
-        if not e.buckets or min(e.buckets) <= 0 or e.episodes_per_bucket < 1:
-            raise ConfigError("eval.buckets must be non-empty and positive, "
-                              "with positive episodes")
-        if e.adapt_episodes < 1 or e.adapt_distance <= 0:
-            raise ConfigError("eval.adapt_episodes and eval.adapt_distance "
-                              "must be positive")
-        for name, sec in (("oracle", o), ("eval", e)):
-            if not 0.0 <= sec.sample_tolerance < 1.0:
-                raise ConfigError(f"{name}.sample_tolerance must be in [0, 1), "
-                                  f"got {sec.sample_tolerance}")
-        if e.heatmap_bin < 1 or e.depth_bin_width <= 0:
-            raise ConfigError("eval.heatmap_bin and eval.depth_bin_width must be positive")
-        if not all(0.0 < rho <= 1.0 for rho in e.rho_grid):
-            raise ConfigError(f"eval.rho_grid must lie in (0, 1], got {list(e.rho_grid)}")
-        b = self.bench
-        if not b.sizes or b.n_observations < 1 or b.repeats < 1:
-            raise ConfigError("bench needs sizes, observations, and repeats")
-        if not all(q and min(q) >= 1 for q in (*b.sizes, b.aux_hidden)):
-            raise ConfigError("bench.sizes and bench.aux_hidden widths must be "
-                              "non-empty and positive")
-        for name, sec in (("world", w), ("oracle", o), ("eval", e), ("bench", b)):
-            if sec.seed < 0:
-                raise ConfigError(f"{name}.seed must be >= 0, got {sec.seed}")
 
     def nav_spec(self) -> MLPSpec:
         return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH, q=self.nav.hidden,
@@ -285,8 +257,8 @@ def _section(name: str, cls, values):
         kwargs[key] = _typed(f"{name}.{key}", val, hints[key])
     try:
         return cls(**kwargs)
-    except ConfigError as e:
-        raise ConfigError(f"{name}: {e}") from e
+    except ConfigError as e:  # a section's errors start with the field's name
+        raise ConfigError(f"{name}.{e}") from e
 
 
 def _typed(key: str, val, hint):

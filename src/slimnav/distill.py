@@ -13,10 +13,11 @@ adds the network shape and the rollout count to it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, Range, check_ranges
 from .slimnet import Adam, Grads, MLPSpec, SlimMask, SlimmableMLP
 from .worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, MAX_POWER, MIN_POWER,
                        ObservationLayout)
@@ -24,26 +25,16 @@ from .worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, MAX_POWER, MIN_POWER,
 
 @dataclass
 class DistillConfig:
-    rho_min: float = 0.25
-    n_random_rhos: int = 2
-    n_random_powers: int = 2
-    batch_size: int = 64
-    lr: float = 1e-3
-    max_epochs: int = 60
-    patience: int = 8
-    seed: int = 0
+    rho_min: Annotated[float, Range(0, 1, lo_open=True)] = 0.25
+    n_random_rhos: Annotated[int, Range(0)] = 2
+    n_random_powers: Annotated[int, Range(0)] = 2
+    batch_size: Annotated[int, Range(1)] = 64
+    lr: Annotated[float, Range(0, lo_open=True)] = 1e-3
+    max_epochs: Annotated[int, Range(1)] = 60
+    patience: Annotated[int, Range(1)] = 8
+    seed: Annotated[int, Range(0)] = 0
 
-    def __post_init__(self):
-        if not 0.0 < self.rho_min <= 1.0:
-            raise ConfigError(f"rho_min must be in (0, 1], got {self.rho_min}")
-        if self.n_random_rhos < 0 or self.n_random_powers < 0:
-            raise ConfigError("random draw counts must be >= 0")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError("batch_size, max_epochs and patience must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = check_ranges
 
 
 def _mse_grad(y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -136,9 +136,6 @@ class OptimalPath:
     def steps(self) -> int:
         return len(self.waypoints) - 1
 
-    def points(self, resolution: float) -> np.ndarray:
-        return (np.asarray(self.waypoints, dtype=float) + 0.5) * resolution
-
 
 def path_cost(waypoints, resolution: float) -> float:
     """Canonical cost of a waypoint chain: counts orthogonal and diagonal
@@ -221,11 +218,10 @@ class Region:
     x_hi: int
 
 
-def partition_regions(grid: VoxelGrid, fractions) -> tuple[Region, ...]:
-    """Split the map into train/validation/test slabs along x.
-
-    fractions must be three positive numbers summing to 1.
-    """
+def region_edges(nx: int, fractions) -> list[int]:
+    """x edges of the train/validation/test slabs of a map `nx` voxels long.
+    ConfigError unless the fractions are three positive numbers summing to
+    1 and every slab is at least 2 voxels wide."""
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != len(REGION_NAMES):
         raise ConfigError(f"expected {len(REGION_NAMES)} fractions, got {len(fractions)}")
@@ -233,19 +229,24 @@ def partition_regions(grid: VoxelGrid, fractions) -> tuple[Region, ...]:
         raise ConfigError(f"fractions must sum to 1, got {fractions}")
     if any(f <= 0.0 for f in fractions):
         raise ConfigError(f"every region needs a positive fraction, got {fractions}")
-    nx = grid.dims[0]
     edges = [0]
     acc = 0.0
     for f in fractions:
         acc += f
         edges.append(int(round(acc * nx)))
     edges[-1] = nx
-    regions = []
     for name, lo, hi in zip(REGION_NAMES, edges[:-1], edges[1:]):
         if hi - lo < 2:
             raise ConfigError(f"region {name!r} slab [{lo},{hi}) is too narrow")
-        regions.append(Region(name=name, x_lo=lo, x_hi=hi))
-    return tuple(regions)
+    return edges
+
+
+def partition_regions(grid: VoxelGrid, fractions) -> tuple[Region, ...]:
+    """Split the map into train/validation/test slabs along x
+    (`region_edges`)."""
+    edges = region_edges(grid.dims[0], fractions)
+    return tuple(Region(name=name, x_lo=lo, x_hi=hi)
+                 for name, lo, hi in zip(REGION_NAMES, edges[:-1], edges[1:]))
 
 
 @dataclass

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, LoadError, SensorError
+from .errors import ConfigError, LoadError, Range, SensorError, check_ranges
 
 # drone terminal states
 ACTIVE = "active"
@@ -34,6 +35,10 @@ ACTION_FEATURES = 3       # previous motion command, normalized by max step
 OBS_WIDTH = FORWARD_RAYS + DOWNWARD_RAYS + GOAL_FEATURES + ACTION_FEATURES
 
 MIN_DIMS = (16, 16, 8)
+# Most voxels a world may hold: its masks and edge tables cost about 13
+# bytes per voxel, so this caps them near 200 MB, 512x above the largest
+# world configured here (64x64x8). Checked before anything is allocated.
+MAX_VOXELS = 2**24
 DEFAULT_MAX_RANGE = 100.0
 DEFAULT_GOAL_RADIUS = 2.0
 DEFAULT_MAX_STEP = 2.0
@@ -123,9 +128,6 @@ class VoxelGrid:
     seed: int = 0
     density: float = 0.0
 
-    def extent(self) -> np.ndarray:
-        return np.array(self.dims, dtype=float) * self.resolution
-
     def voxel_of(self, point) -> tuple[int, int, int]:
         """Voxel holding `point`, inside the grid or not. ValueError for a
         non-finite point, which no voxel holds."""
@@ -152,6 +154,15 @@ class VoxelGrid:
         return bool(self.occupancy[int(x), int(y), int(z)])
 
 
+def check_dims(dims) -> None:
+    """ConfigError unless `dims` holds three sizes of at least MIN_DIMS
+    whose product is at most MAX_VOXELS."""
+    if len(dims) != 3 or any(d < m for d, m in zip(dims, MIN_DIMS)):
+        raise ConfigError(f"dims must be at least {MIN_DIMS}, got {dims}")
+    if math.prod(dims) > MAX_VOXELS:
+        raise ConfigError(f"dims {dims} hold more than {MAX_VOXELS} voxels")
+
+
 def generate_world(dims, resolution: float = 1.0, density: float = 0.0,
                    seed: int = 0) -> VoxelGrid:
     """Procedural world: enclosed shell plus axis-aligned cuboid obstacles.
@@ -160,8 +171,7 @@ def generate_world(dims, resolution: float = 1.0, density: float = 0.0,
     obstacle. Pure function of (dims, resolution, density, seed).
     """
     dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < m for d, m in zip(dims, MIN_DIMS)):
-        raise ConfigError(f"world dims must be at least {MIN_DIMS}, got {dims}")
+    check_dims(dims)
     if not 0.0 <= density <= 1.0:
         raise ConfigError(f"density must be in [0, 1], got {density}")
     if resolution <= 0:
@@ -235,6 +245,9 @@ def load_world(path) -> tuple[VoxelGrid, str]:
         raise LoadError(f"{path}: malformed header fields: {e}") from e
     if min(nx, ny, nz) < 1 or not 0 < resolution < math.inf:
         raise LoadError(f"{path}: malformed header {lines[0]!r}")
+    if nx * ny * nz > MAX_VOXELS:
+        raise LoadError(f"{path}: header declares {nx * ny * nz} voxels, "
+                        f"more than {MAX_VOXELS}")
     seed, density, config_hash = 0, 0.0, ""
     body = lines[1:]
     if body and body[0].startswith("#"):
@@ -299,15 +312,14 @@ class SensorConfig:
 
     p_f: int = MAX_POWER[0]
     p_d: int = MAX_POWER[1]
-    max_range: float = DEFAULT_MAX_RANGE
+    max_range: Annotated[float, Range(0, lo_open=True)] = DEFAULT_MAX_RANGE
 
     def __post_init__(self):
+        check_ranges(self)
         if self.p_f not in FORWARD_LEVELS:
             raise ConfigError(f"p_f must be in {FORWARD_LEVELS}, got {self.p_f}")
         if self.p_d not in DOWNWARD_LEVELS:
             raise ConfigError(f"p_d must be in {DOWNWARD_LEVELS}, got {self.p_d}")
-        if self.max_range <= 0:
-            raise ConfigError(f"max_range must be positive, got {self.max_range}")
 
 
 def _origin_voxels(grid: VoxelGrid, origin: np.ndarray) -> np.ndarray:
@@ -680,10 +692,6 @@ class ObservationLayout:
     slots, each OBS_WIDTH wide."""
 
     depth: int = 4
-
-    @property
-    def total_width(self) -> int:
-        return self.depth * OBS_WIDTH
 
     def slot_mask(self, p_f: int, p_d: int) -> np.ndarray:
         """Active-entry mask of a single observation at the given power levels.

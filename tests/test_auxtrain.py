@@ -459,7 +459,7 @@ def test_compute_eta_counts_input_masked_network():
     # mode S flies at rho 1, and eta_m reads the logged m_active of the
     # input-masked network, not the full one
     layout = worldsim.ObservationLayout(2)
-    spec = MLPSpec(u=layout.total_width, q=(16, 16), v=3)
+    spec = MLPSpec(u=layout.depth * OBS_WIDTH, q=(16, 16), v=3)
     pairs = [(3, 3), (1, 0), (2, 1)]
     logs = [fake_log(REACHED, 2, 2, p_f=f, p_d=d, spec=spec,
                      active_inputs=layout.input_mask(f, d)) for f, d in pairs]

@@ -117,7 +117,7 @@ def test_cast_rays_equals_dda(data):
         first = 1.0
     max_range = data.draw(st.one_of(
         st.sampled_from([first, first / 2, math.nextafter(first, math.inf), 100.0]),
-        st.floats(0.0, 2.0 * float(grid.extent().max()))))
+        st.floats(0.0, 2.0 * max(grid.dims) * grid.resolution)))
     assert_same(grid, origin, dirs, max_range)
 
 
@@ -143,7 +143,7 @@ def test_cast_rays_per_ray_origins_equal_one_call_per_origin(data):
               for _ in range(data.draw(st.integers(1, 12)))]
     max_range = data.draw(st.one_of(
         st.sampled_from([0.7, 5.0, 17.3, 100.0]),
-        st.floats(0.0, 2.0 * float(grid.extent().max()), exclude_min=True)))
+        st.floats(0.0, 2.0 * max(grid.dims) * grid.resolution, exclude_min=True)))
     starts = np.cumsum([0] + [len(d) for _, d in groups])
     batch_origins = np.concatenate([np.tile(o, (len(d), 1)) for o, d in groups])
     batch_dirs = np.concatenate([d for _, d in groups])

@@ -1,13 +1,16 @@
 """Experiment configuration, artifact hashing, CSV helpers, exit codes, and
 the full command pipeline on miniature worlds in both adaptation modes."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from slimnav.cli import (AUX_ACTOR_FILE, AUX_CRITIC_FILES, AUX_EPISODES_FILE,
                          REPORT_FILES, WORLD_FILE, ExperimentConfig,
                          load_config, read_csv, write_config_copy, write_csv)
 from slimnav.errors import (ConfigError, ConstraintViolation, DependencyError,
-                            LoadError)
+                            LoadError, field_ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,7 @@ def test_from_dict_converts_lists_to_tuples():
     {"world": {"dims": [64, 64]}},
     {"world": {"density": 1.0}},
     {"world": {"flight_z": 8}},
+    {"world": {"flight_z": 7}},   # the shell's ceiling, like 0 its floor
     {"sensor": {"fifo_depth": 0}},
     {"oracle": {"region_fractions": [0.5, 0.5]}},
     {"oracle": {"distances": []}},
@@ -162,11 +166,95 @@ def test_from_dict_converts_lists_to_tuples():
     {"eval": {"seed": -1}},
     {"bench": {"seed": -1}},
     {"oracle": {"clearance_weight": -0.5}},
+    # values that loaded, then failed in a later stage or trained nothing
+    {"oracle": {"region_fractions": [0, 0, 0]}},
+    {"oracle": {"region_fractions": [0.96, 0.02, 0.02]}},  # a 1-voxel slab
+    {"eval": {"rho_grid": []}},
+    {"world": {"flight_z": 0}},
+    {"aux": {"total_env_steps": -1}},
+    {"aux": {"total_env_steps": 0}},
+    # more voxels than worldsim.MAX_VOXELS
+    {"world": {"dims": [1024, 1024, 32]}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
         ExperimentConfig.from_dict(data)
     assert next(iter(data)) in str(e.value)  # names the section
+
+
+# Numeric leaves that declare no Range, each with the check that bounds it.
+RANGE_EXEMPT = {
+    "world.dims": "checked against worldsim.MIN_DIMS and MAX_VOXELS in validate",
+    "sensor.p_f": "checked for membership in worldsim.FORWARD_LEVELS by SensorConfig",
+    "sensor.p_d": "checked for membership in worldsim.DOWNWARD_LEVELS by SensorConfig",
+    "oracle.region_fractions": "checked with world.dims[0] by "
+                               "pathoracle.region_edges in validate",
+    "aux.buffer_capacity": "checked against batch_size by TD3Config",
+    "curriculum.maximum": "checked against start by Curriculum",
+}
+
+
+def _is_numeric(hint) -> bool:
+    """int, float, an optional number, or a tuple of numbers (bool is not)."""
+    args = [a for a in typing.get_args(hint) if a not in (Ellipsis, type(None))]
+    return all(map(_is_numeric, args)) if args else hint in (int, float)
+
+
+def _scalar(hint):
+    """The int or float inside an optional or (nested) tuple annotation."""
+    args = [a for a in typing.get_args(hint) if a not in (Ellipsis, type(None))]
+    return _scalar(args[0]) if args else hint
+
+
+def _numeric_leaves():
+    """(section, key, annotation with Annotated stripped, Range or None) of
+    every numeric leaf of ExperimentConfig."""
+    for section, cls in typing.get_type_hints(ExperimentConfig).items():
+        if not dataclasses.is_dataclass(cls):
+            continue
+        ranges = dict(field_ranges(cls))
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if _is_numeric(hints[f.name]):
+                yield section, f.name, hints[f.name], ranges.get(f.name)
+
+
+def _with_first_entry(default, v):
+    """`default` with its first scalar replaced by v, as JSON data."""
+    if isinstance(default, tuple):
+        return [_with_first_entry(default[0], v), *default[1:]]
+    return v
+
+
+def test_every_numeric_leaf_declares_its_range():
+    leaves = list(_numeric_leaves())
+    assert len(leaves) > 60
+    undeclared = {f"{s}.{k}" for s, k, _, r in leaves if r is None}
+    assert undeclared == set(RANGE_EXEMPT)
+
+
+@pytest.mark.parametrize("section,key,hint,r", [
+    pytest.param(*leaf, id=f"{leaf[0]}.{leaf[1]}")
+    for leaf in _numeric_leaves() if leaf[3] is not None])
+def test_each_range_bound_is_enforced_at_load(section, key, hint, r):
+    default = getattr(getattr(ExperimentConfig(), section), key)
+    for bound, is_open, toward in ((r.lo, r.lo_open, -1), (r.hi, r.hi_open, 1)):
+        if bound is None:
+            continue
+        if is_open:
+            outside = bound
+        elif _scalar(hint) is int:
+            outside = bound + toward
+        else:
+            outside = math.nextafter(bound, toward * math.inf)
+        with pytest.raises(ConfigError) as e:
+            ExperimentConfig.from_dict({section: {key: _with_first_entry(default, outside)}})
+        assert str(e.value).startswith(f"{section}.{key} must be in {r}")
+        if not is_open:   # a closed bound is itself legal
+            ExperimentConfig.from_dict({section: {key: _with_first_entry(default, bound)}})
+    if isinstance(default, tuple):
+        with pytest.raises(ConfigError, match=f"^{section}.{key} needs at least one entry"):
+            ExperimentConfig.from_dict({section: {key: []}})
 
 
 def test_config_hash_ignores_out_dir():
@@ -382,15 +470,20 @@ def _entry_code(monkeypatch, argv) -> int:
 
 @pytest.mark.parametrize("override", [
     "aux.eval_every_episodes=0", "aux.action_noise_std=-0.1",
-    "aux.gate_episodes=0", "aux.critic_hidden=[0]"])
+    "aux.gate_episodes=0", "aux.critic_hidden=[0]",
+    # values of any section that loaded, then failed in oracle or later
+    "oracle.region_fractions=[0,0,0]", "oracle.region_fractions=[0.96,0.02,0.02]",
+    "world.dims=[1024,1024,32]", "eval.rho_grid=[]", "aux.total_env_steps=-1",
+    "world.flight_z=0"])
 def test_aux_values_that_failed_late_are_config_errors(tmp_path, monkeypatch,
                                                        capsys, override):
     for stage in ("gen-world", "train-aux"):
         code = _entry_code(monkeypatch, [stage, "--set", f"out_dir={tmp_path}",
                                          "--set", override])
         err = capsys.readouterr().err
-        assert code == 2 and err.startswith("configuration error: aux")
-        assert "Traceback" not in err
+        assert code == 2
+        assert err.startswith("configuration error: " + override.partition("=")[0])
+        assert "Traceback" not in err and err.count("\n") == 1
     assert os.listdir(tmp_path) == []   # refused before any stage ran
 
 
@@ -425,6 +518,13 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("dependency error")
     assert "Traceback" not in err
+    # a consistent world file above worldsim.MAX_VOXELS, refused at its header
+    with open(path, "w") as f:
+        f.write("NAVIWORLD v1 100000 100000 100000 1.0\n1000000000000000 0\n")
+    assert run(["oracle", *small]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dependency error") and "more than" in err
+    assert "Traceback" not in err and err.count("\n") == 1
     # a navigation weight file holding a NaN
     with open(path, "w") as f:
         f.write(text)

@@ -102,7 +102,7 @@ def test_sandwich_adds_subwidth_gradients():
 
 def test_sandwich_sensing_masks_inputs():
     layout = ObservationLayout(1)
-    spec = MLPSpec(u=layout.total_width, q=(12,), v=3)
+    spec = MLPSpec(u=layout.depth * OBS_WIDTH, q=(12,), v=3)
     net = SlimmableMLP(spec, seed=2)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, spec.u))
@@ -168,10 +168,10 @@ def test_distilled_beats_control_at_low_rho(toy):
 
 def test_training_in_sensing_mode(toy):
     layout = ObservationLayout(1)
-    train = toy_dataset(400, layout.total_width, 10)
-    val = toy_dataset(100, layout.total_width, 11)
-    test = toy_dataset(100, layout.total_width, 12)
-    spec = MLPSpec(u=layout.total_width, q=(16,), v=3)
+    train = toy_dataset(400, layout.depth * OBS_WIDTH, 10)
+    val = toy_dataset(100, layout.depth * OBS_WIDTH, 11)
+    test = toy_dataset(100, layout.depth * OBS_WIDTH, 12)
+    spec = MLPSpec(u=layout.depth * OBS_WIDTH, q=(16,), v=3)
     cfg = DistillConfig(max_epochs=8, seed=0, n_random_powers=1)
     net, _ = train_navigation(train, val, spec, cfg, mode="S", layout=layout)
     table = rmse_by_power(net, test, layout)
@@ -197,8 +197,8 @@ def test_rmse_helpers_match_manual(toy):
 
 def test_rmse_by_power_uses_input_masks():
     layout = ObservationLayout(1)
-    test = toy_dataset(50, layout.total_width, 13)
-    spec = MLPSpec(u=layout.total_width, q=(8,), v=3)
+    test = toy_dataset(50, layout.depth * OBS_WIDTH, 13)
+    spec = MLPSpec(u=layout.depth * OBS_WIDTH, q=(8,), v=3)
     net = SlimmableMLP(spec, seed=1)
     table = rmse_by_power(net, test, layout)
     assert len(table) == 4

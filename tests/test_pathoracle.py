@@ -160,7 +160,9 @@ def test_path_cost_rejects_illegal_hop():
 
 def test_optimal_path_points_are_voxel_centers():
     p = OptimalPath(waypoints=[(1, 2, 3), (2, 2, 3)], length=1.0)
-    pts = p.points(2.0)
+    grid = worldsim.VoxelGrid(dims=(16, 16, 8), resolution=2.0,
+                              occupancy=np.zeros((16, 16, 8), dtype=bool))
+    pts = grid.center_of(p.waypoints)
     assert np.allclose(pts[0], [3.0, 5.0, 7.0])
     assert p.steps == 1
 
@@ -376,7 +378,7 @@ def test_label_dataset_targets_follow_waypoints(world, flat_graph):
     sampler = TaskSampler(flat_graph, regions, flight_z=3)
     task = sampler.sample("train", 6.0, np.random.default_rng(4))
     ds = label_dataset(world, [task.path], depth=2, max_step=2.0)
-    pts = task.path.points(world.resolution)
+    pts = world.center_of(task.path.waypoints)
     for k in range(len(ds)):
         want = np.clip(pts[k + 1] - pts[k], -2.0, 2.0)
         assert np.allclose(ds.targets[k], want)
@@ -512,7 +514,7 @@ def test_label_rollouts_oracle_policy(world, flat_graph):
     ds_parts = []
     for task in tasks:
         # drive label_rollouts with a policy that flies the optimal hops
-        pts = task.path.points(world.resolution)
+        pts = world.center_of(task.path.waypoints)
         state_k = {"k": 0}
 
         def policy(x, pts=pts, state_k=state_k):

@@ -140,7 +140,7 @@ def test_fig5_case_truncation_equivalence():
 def test_masked_forward_equals_truncated_many_configs():
     rng = np.random.default_rng(3)
     layout = ObservationLayout(2)
-    spec = MLPSpec(u=layout.total_width, q=(13, 7, 5), v=3,
+    spec = MLPSpec(u=layout.depth * OBS_WIDTH, q=(13, 7, 5), v=3,
                    output_activation="tanh", output_scale=2.0)
     net = SlimmableMLP(spec, seed=4)
     x = rng.normal(size=(4, spec.u))
@@ -541,7 +541,7 @@ def test_training_steps_pin_weight_file_bytes(tmp_path):
         return hashlib.sha256((tmp_path / "w.bin").read_bytes()).hexdigest()
 
     layout = ObservationLayout(1)
-    u = layout.total_width
+    u = layout.depth * OBS_WIDTH
     spec = MLPSpec(u=u, q=(8, 6), v=3)
     # mode C stops at epoch 6 and restores the epoch-4 snapshot
     cfg = DistillConfig(max_epochs=8, patience=2, batch_size=16, lr=0.03, seed=5)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from slimnav.errors import ConfigError, LoadError, SensorError
 from slimnav.worldsim import (ACTIVE, COLLIDED, DOWNWARD_LEVELS, DOWNWARD_RAYS,
                               DroneState, FifoQueue, FORWARD_LEVELS,
-                              FORWARD_RAYS, MAX_POWER, MIN_POWER, OBS_WIDTH,
-                              ObservationLayout, REACHED, SensorConfig,
+                              FORWARD_RAYS, MAX_POWER, MAX_VOXELS, MIN_POWER,
+                              OBS_WIDTH, ObservationLayout, REACHED, SensorConfig,
                               VoxelGrid, cast_rays, clamp_motion,
                               downward_level_indices, forward_level_indices,
                               generate_world, load_world, mean_depths,
@@ -65,6 +65,9 @@ def test_generate_world_rejects_bad_arguments():
         generate_world((16, 16, 8), density=1.5)
     with pytest.raises(ConfigError):
         generate_world((16, 16, 8), resolution=0.0)
+    # the smallest world above the cap, refused before anything is allocated
+    with pytest.raises(ConfigError, match=f"more than {MAX_VOXELS}"):
+        generate_world((1024, 1024, 32))
 
 
 def test_voxel_lookups(empty):
@@ -73,7 +76,6 @@ def test_voxel_lookups(empty):
     assert not empty.occupied_at(empty.center_of((5, 5, 3)))
     assert empty.occupied_at(empty.center_of((-1, 5, 5)))      # out of bounds is solid
     assert empty.occupied_at((-0.5, 5.0, 5.0))
-    assert np.allclose(empty.extent(), (16, 16, 8))
 
 
 def test_non_finite_point_is_solid_and_in_no_voxel(empty):
@@ -111,9 +113,14 @@ def test_load_world_rejects_malformed(tmp_path):
     p.write_text("NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=0.0\n2048 7\n")
     with pytest.raises(LoadError):          # bit must be 0/1
         load_world(p)
-    p.write_text("NAVIWORLD v1 100000 100000 100000 1.0\n")
+    p.write_text("NAVIWORLD v1 4096 4096 1 1.0\n")   # MAX_VOXELS, no runs
     with pytest.raises(LoadError, match="occupancy has 0 voxels"):
         load_world(p)                       # refused before allocating
+    # runs that cover a 10^15-voxel header: refused at the header, before
+    # the runs are read
+    p.write_text("NAVIWORLD v1 100000 100000 100000 1.0\n1000000000000000 0\n")
+    with pytest.raises(LoadError, match=f"more than {MAX_VOXELS}"):
+        load_world(p)
     for text in (b"NAVIWORLD v1 16 16 8 1.0\n# seed=x density=0.0\n2048 0\n",
                  b"NAVIWORLD v1 16 16 8 1.0\n# seed=0 density=dense\n2048 0\n",
                  b"NAVIWORLD v1 -16 16 8 1.0\n# seed=0 density=0.0\n2048 0\n",
@@ -329,7 +336,6 @@ def test_fifo_validation_and_copy():
 
 def test_observation_layout_masks():
     layout = ObservationLayout(4)
-    assert layout.total_width == 4 * OBS_WIDTH
     full = layout.slot_mask(3, 3)
     small = layout.slot_mask(1, 0)
     assert full.sum() == FORWARD_RAYS + DOWNWARD_RAYS + 7
@@ -346,5 +352,5 @@ def test_input_mask_tiles_slot_mask():
     assert len(pairs) == 12
     for p_f, p_d in pairs:
         got = layout.input_mask(p_f, p_d)
-        assert got.shape == (layout.total_width,) and got.dtype == bool
+        assert got.shape == (layout.depth * OBS_WIDTH,) and got.dtype == bool
         assert np.array_equal(got, np.tile(layout.slot_mask(p_f, p_d), layout.depth))
