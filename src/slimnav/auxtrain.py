@@ -21,7 +21,8 @@ from typing import Annotated
 import numpy as np
 
 from .errors import ConfigError, Range, check_ranges
-from .slimnet import Adam, MLPSpec, SlimMask, SlimmableMLP, active_params
+from .slimnet import (Adam, MLPSpec, SlimMask, SlimmableMLP, active_params,
+                      active_widths)
 from .worldsim import (ACTIVE, COLLIDED, DEFAULT_GOAL_RADIUS, DEFAULT_MAX_RANGE,
                        DEFAULT_MAX_STEP, MAX_POWER, MIN_POWER, Flight,
                        OBS_WIDTH, ObservationLayout, REACHED, SensorConfig,
@@ -302,10 +303,11 @@ def action_bounds(mode: str, rho_min: float) -> tuple[np.ndarray, np.ndarray]:
 def decode_action(mode: str, action, low, high) -> tuple[float, tuple[int, int]]:
     """The (rho, (p_f, p_d)) a mode's action asks for, over its
     `action_bounds` (low, high). Mode C clips rho and keeps MAX_POWER; mode S
-    keeps rho = 1 and rounds, then clips, each power level."""
+    keeps rho = 1 and rounds, then clips, each power level. A NaN rho
+    stays NaN, for `SlimMask` to refuse."""
     if mode == "C":
-        return float(np.clip(action[0], low[0], high[0])), MAX_POWER
-    return 1.0, tuple(int(np.clip(round(a), lo, hi))
+        return min(max(float(action[0]), float(low[0])), float(high[0])), MAX_POWER
+    return 1.0, tuple(int(min(max(round(a), lo), hi))
                       for a, lo, hi in zip(action, low, high))
 
 
@@ -331,6 +333,15 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
     Each step logs the mean depths (`worldsim.mean_depths`) of the newest
     observation, the first OBS_WIDTH entries of the flattened FIFO.
 
+    What a step costs: one `worldsim.sense` (one `cast_rays` call over the
+    sensed pair's rays), two batch-1 forwards (policy and navigator) and
+    one `worldsim.step`. What an episode reuses: the sensor and input mask
+    of a power pair while the pair holds, and one (SlimMask, active
+    parameter count) pair per (active widths, sensed pair). That is at most
+    one per distinct width in mode C and one per power pair in mode S; rho
+    is checked (`slimnet.active_widths`) before a mask is reused. Nothing
+    outlives the episode, and no weight block is kept.
+
     `policy` maps the flattened FIFO to the raw continuous action; without
     it the aux network acts, and without that the full action
     (`action_bounds`' top). `transition_sink(s, a, r, s2, done)` receives
@@ -345,6 +356,7 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                     max_step)
     powers = MAX_POWER
     sensed = None
+    masks = {}   # (active widths, sensed pair) -> (SlimMask, active params)
 
     steps_log: list[EpisodeStep] = []
     pending = None
@@ -361,8 +373,11 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
 
         action = np.asarray(policy(x), dtype=float)
         rho, powers = decode_action(mode, action, low, high)
-        mask = SlimMask(nav.spec, rho, in_mask)
-        m_act = active_params(nav.spec, rho, in_mask)[0]
+        key = (active_widths(nav.spec, rho), sensed)
+        if key not in masks:
+            masks[key] = (SlimMask(nav.spec, rho, in_mask),
+                          active_params(nav.spec, rho, in_mask)[0])
+        mask, m_act = masks[key]
 
         prev_dist = flight.state.goal_distance()
         state = flight.move(nav.forward(x, mask))

@@ -238,7 +238,29 @@ class ExperimentConfig:
         if w.flight_z >= w.dims[2] - 1:
             raise ConfigError(f"world.flight_z must be below the ceiling shell at "
                               f"{w.dims[2] - 1}, got {w.flight_z}")
+        self._check_distances()
         self.nav_spec()
+
+    def _check_distances(self) -> None:
+        """Refuse a task distance d that no two voxel centres can be apart
+        within the tolerance tol its stage samples at: d * (1 + tol) below
+        one voxel, or d * (1 - tol) beyond the world's diagonal."""
+        w, e, tol = self.world, self.eval, pathoracle.SAMPLE_TOLERANCE
+        far = w.resolution * math.sqrt(sum((n - 1) ** 2 for n in w.dims))
+        gate = () if self.aux.gate_distance is None else (self.aux.gate_distance,)
+        for key, distances, tol in (
+                ("oracle.distances", self.oracle.distances, self.oracle.sample_tolerance),
+                ("eval.buckets", e.buckets, e.sample_tolerance),
+                ("eval.adapt_distance", (e.adapt_distance,), e.sample_tolerance),
+                ("curriculum.start", (self.curriculum.start,), tol),
+                ("curriculum.maximum", (self.curriculum.maximum,), tol),
+                ("aux.gate_distance", gate, tol)):
+            for d in distances:
+                if d * (1 + tol) < w.resolution or d * (1 - tol) > far:
+                    raise ConfigError(
+                        f"{key}: no two voxel centres of world.dims {w.dims} at "
+                        f"world.resolution {w.resolution} are {d} m apart within "
+                        f"tolerance {tol} (they are {w.resolution} to {far:.6g} m apart)")
 
     def nav_spec(self) -> MLPSpec:
         return MLPSpec(u=self.sensor.fifo_depth * OBS_WIDTH, q=self.nav.hidden,

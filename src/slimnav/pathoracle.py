@@ -22,6 +22,7 @@ REGION_NAMES = ("train", "validation", "test")
 
 # spawn draws a TaskSampler makes before it gives up on a task
 SAMPLE_TRIES = 60
+SAMPLE_TOLERANCE = 0.3     # default relative tolerance of a task's distance
 
 DATASET_MAGIC = "NAVIDATA v1"
 
@@ -283,7 +284,7 @@ class TaskSampler:
             self._verts[r.name] = ids
 
     def sample(self, region: str, distance: float, rng,
-               tolerance: float = 0.3) -> Task:
+               tolerance: float = SAMPLE_TOLERANCE) -> Task:
         """Random task whose spawn-goal separation is within
         distance * (1 +- tolerance). Raises ConfigError when the region
         cannot supply one in SAMPLE_TRIES spawn draws."""
@@ -368,10 +369,9 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
     if jitter > 0 and rng is None:
         rng = np.random.default_rng(0)
     crowd_boost = _check_crowd_boost(crowd_boost)
-    crowd = crowding_mask(grid.occupancy) if crowd_boost > 1 else None
     # walk every pose first (the rng draws come in path order), then sense
     # them all in batches, then fill each path's FIFO
-    positions, goals, lasts, targets, reps, steps = [], [], [], [], [], []
+    positions, goals, lasts, targets, steps = [], [], [], [], []
     for path in paths:
         pts = grid.center_of(path.waypoints if isinstance(path, OptimalPath)
                              else path)
@@ -387,20 +387,24 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
                         pos = cand
                         break
             target = np.clip(pts[k + 1] - pos, -max_step, max_step)
-            r = 1
-            if crowd is not None:
-                v = grid.voxel_of(pos)
-                if crowd[v[0], v[1], v[2]]:
-                    r = crowd_boost
             positions.append(pos)
             goals.append(pts[-1])
             lasts.append(last)
             targets.append(target)
-            reps.append(r)
             last = target / max_step
     if not positions:
         raise ConfigError("no paths supplied, dataset would be empty")
     obs = worldsim.sense_poses(grid, positions, goals, sensor, lasts)
+    reps = np.ones(len(positions), dtype=np.int64)
+    if crowd_boost > 1:
+        # the crowding of the box the sensed voxels span, one voxel wider on
+        # each side, is the whole grid's crowding at those voxels
+        vox = np.floor(np.asarray(positions) / grid.resolution).astype(np.int64)
+        lo = np.maximum(vox.min(axis=0) - 1, 0)
+        hi = vox.max(axis=0) + 2
+        crowd = crowding_mask(grid.occupancy[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]])
+        v = vox - lo
+        reps[crowd[v[:, 0], v[:, 1], v[:, 2]]] = crowd_boost
     xs, ys = [], []
     start = 0
     for n in steps:

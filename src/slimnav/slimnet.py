@@ -105,13 +105,18 @@ def _layer_views(params: np.ndarray, spec: MLPSpec) -> tuple[list, list]:
     return weights, biases
 
 
-def _checked_inputs(spec: MLPSpec, rho: float,
-                    active_inputs) -> tuple[np.ndarray | None, int]:
-    """The boolean input mask (None: every input) and its active count,
-    after the checks of rho and of the mask that SlimMask and active_params
-    share."""
+def active_widths(spec: MLPSpec, rho: float) -> tuple[int, ...]:
+    """Active node count of each hidden layer of `spec` at slimming factor
+    rho. ValueError unless rho is in (0, 1]: the check of rho that SlimMask
+    and active_params share."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
+    return tuple(active_width(rho, qi) for qi in spec.q)
+
+
+def _checked_inputs(spec: MLPSpec, active_inputs) -> tuple[np.ndarray | None, int]:
+    """The boolean input mask (None: every input) and its active count,
+    after the checks of the mask that SlimMask and active_params share."""
     if active_inputs is None:
         return None, spec.u
     active_inputs = np.asarray(active_inputs, dtype=bool)
@@ -128,9 +133,9 @@ class SlimMask:
     hidden layer) plus a boolean input mask."""
 
     def __init__(self, spec: MLPSpec, rho: float = 1.0, active_inputs=None):
-        active_inputs, n = _checked_inputs(spec, rho, active_inputs)
+        self.active_hidden = active_widths(spec, rho)
+        active_inputs, n = _checked_inputs(spec, active_inputs)
         self.rho = float(rho)
-        self.active_hidden = tuple(active_width(rho, qi) for qi in spec.q)
         if active_inputs is None:
             active_inputs = np.ones(spec.u, dtype=bool)
         self.active_inputs = active_inputs
@@ -306,9 +311,9 @@ def active_params(spec: MLPSpec, rho: float, active_inputs=None) -> tuple[int, f
       (sum_i q_i q_{i+1}) rho^2 + (u q_1 + v q_l + sum_i q_i) rho + v.
     The two agree whenever every rho * q_i is an integer.
     """
-    _, u = _checked_inputs(spec, rho, active_inputs)
+    hs = active_widths(spec, rho)
+    _, u = _checked_inputs(spec, active_inputs)
     q = spec.q
-    hs = [active_width(rho, qi) for qi in q]
     m = u * hs[0] + hs[0]
     for i in range(len(hs) - 1):
         m += hs[i] * hs[i + 1] + hs[i + 1]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from slimnav import pathoracle, worldsim
+from slimnav import auxtrain, pathoracle, worldsim
 from slimnav.auxtrain import (AuxConfig, Curriculum, EpisodeLog, EpisodeStep,
                               ReplayBuffer, RewardWeights, TD3Agent, TD3Config,
                               action_bounds, check_gate, compute_eta,
@@ -15,7 +15,7 @@ from slimnav.auxtrain import (AuxConfig, Curriculum, EpisodeLog, EpisodeStep,
                               length_ratio, reward, run_episode, success_rate,
                               train_auxiliary, ConstraintConfig)
 from slimnav.errors import ConfigError
-from slimnav.slimnet import MLPSpec, SlimmableMLP, active_params
+from slimnav.slimnet import MLPSpec, SlimMask, SlimmableMLP, active_params
 from slimnav.worldsim import (ACTIVE, COLLIDED, MAX_POWER, MIN_POWER,
                               OBS_WIDTH, REACHED, ObservationLayout)
 
@@ -251,6 +251,36 @@ def test_run_episode_policy_min_rho_clipped(small_world):
     for s in log.steps:
         assert s.rho == 0.25
         assert s.m_active == active_params(nav.spec, 0.25)[0]
+
+
+def test_run_episode_builds_one_mask_per_width_and_pair(small_world, monkeypatch):
+    grid, nav = small_world
+    built = []
+    monkeypatch.setattr(auxtrain, "SlimMask",
+                        lambda *a: built.append(a[1]) or SlimMask(*a))
+    rhos = iter([0.5, 1.0, 0.5, 0.49, 1.0, 0.55, 0.5, 1.0])
+    log = run_episode(grid, nav, mode="C", spawn=[3.5, 3.5, 3.5],
+                      goal=[16.5, 16.5, 3.5], policy=lambda x: [next(rhos)],
+                      max_steps=8)
+    assert log.path_steps == 8
+    # 0.49 gives 0.5's widths (8, 4) of (16, 8); 0.55 gives (9, 5)
+    assert built == [0.5, 1.0, 0.55]
+    for s in log.steps:
+        assert s.m_active == active_params(nav.spec, s.rho)[0]
+
+
+@pytest.mark.parametrize("rho_min,bad,shown", [(0.25, math.nan, "nan"),
+                                               (0.0, -1.0, "0.0")])
+def test_run_episode_refuses_a_bad_rho_before_reusing_a_mask(small_world, rho_min,
+                                                             bad, shown):
+    # a NaN survives decode_action's clip, and rho_min 0 lets 0 through; each
+    # raises SlimMask's error although a mask of earlier steps is at hand
+    grid, nav = small_world
+    rhos = iter([0.5, 1.0, bad])
+    with pytest.raises(ValueError, match=rf"^rho must be in \(0, 1\], got {shown}$"):
+        run_episode(grid, nav, mode="C", spawn=[3.5, 3.5, 3.5],
+                    goal=[16.5, 16.5, 3.5], rho_min=rho_min,
+                    policy=lambda x: [next(rhos)], max_steps=8)
 
 
 def test_run_episode_sensing_mask_lags_one_step(small_world):

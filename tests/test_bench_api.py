@@ -6,6 +6,7 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slimnav
@@ -13,13 +14,61 @@ import slimnav
 BENCH = Path(__file__).resolve().parent.parent / "slimbench"
 
 
-def test_traced_functions_exist():
+def load_spans():
     spec = importlib.util.spec_from_file_location("slimbench_spans",
                                                   BENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_functions_exist():
+    spans = load_spans()
     for owner, attr, _ in spans._targets(slimnav):
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
+
+
+# the spans of worldsim and slimnet that a traced run must see called
+# (`expected_spans` in slimbench/workloads.py): fly-c and fly-s need them
+# all; plan, which flies through label_rollouts, all but active_params
+FLY_SPANS = ("worldsim.sense", "worldsim.cast_rays", "worldsim.step",
+             "worldsim.segment_hits", "worldsim.fifo", "slimnet.mask",
+             "slimnet.active_params")
+PLAN_SPANS = FLY_SPANS[:-1]
+
+
+def traced_counts(spans, fly):
+    """Span counts of one call of `fly()` with every traced function wrapped."""
+    tracer = spans.Tracer()
+    undo = spans.install(tracer, slimnav)
+    try:
+        fly()
+    finally:
+        undo()
+    return spans.span_counts(tracer.arrays())
+
+
+def test_a_flight_reaches_every_traced_flight_function():
+    """A refactor that inlines one of these calls (say `segment_hits` into
+    `step`) hides it from the traced benchmark run, which then exits 3."""
+    from slimnav import auxtrain, pathoracle, worldsim
+    spans = load_spans()
+    grid = worldsim.generate_world((20, 20, 8), density=0.1, seed=1)
+    graph = pathoracle.build_graph(grid, vertical_locked=True)
+    sampler = pathoracle.TaskSampler(
+        graph, pathoracle.partition_regions(grid, (0.5, 0.25, 0.25)), flight_z=2)
+    task = sampler.sample("train", 6.0, np.random.default_rng(0))
+    nav = slimnav.SlimmableMLP(slimnav.MLPSpec(
+        u=4 * worldsim.OBS_WIDTH, q=(16, 8), v=3, output_activation="tanh",
+        output_scale=2.0), seed=0)
+    counts = traced_counts(spans, lambda: auxtrain.run_episode(
+        grid, nav, mode="C", spawn=grid.center_of(task.spawn),
+        goal=grid.center_of(task.goal), max_steps=3, vertical_locked=True,
+        policy=lambda x: [0.5]))
+    assert [n for n in FLY_SPANS if counts.get(n, 0) == 0] == []
+    counts = traced_counts(spans, lambda: pathoracle.label_rollouts(
+        grid, graph, [task], nav.forward, depth=4, max_steps=3))
+    assert [n for n in PLAN_SPANS if counts.get(n, 0) == 0] == []
 
 
 def slimnav_reads(tree):

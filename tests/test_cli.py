@@ -175,11 +175,43 @@ def test_from_dict_converts_lists_to_tuples():
     {"aux": {"total_env_steps": 0}},
     # more voxels than worldsim.MAX_VOXELS
     {"world": {"dims": [1024, 1024, 32]}},
+    # distances no two voxel centres can be apart within the tolerance they
+    # are sampled at: below one voxel, or beyond the world's diagonal
+    {"oracle": {"distances": [1e18]}},
+    {"oracle": {"distances": [5, 0.7]}},
+    {"world": {"resolution": 1e18}},
+    {"world": {"resolution": 1e-18}},
+    {"world": {"dims": [16, 16, 8]}},        # the default distances reach 45 m
+    {"aux": {"gate_distance": 1e18}},
+    {"eval": {"buckets": [10, 1000]}},
+    {"eval": {"adapt_distance": 0.8}},
+    {"curriculum": {"start": 0.5}},
+    {"curriculum": {"maximum": 200}},
 ])
 def test_validate_rejects_bad_values(data):
     with pytest.raises(ConfigError) as e:
         ExperimentConfig.from_dict(data)
     assert next(iter(data)) in str(e.value)  # names the section
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"aux": {"gate_distance": 1e18}}, "aux.gate_distance"),
+    ({"curriculum": {"maximum": 200}}, "curriculum.maximum"),
+    ({"eval": {"buckets": [10, 1000]}}, "eval.buckets"),
+    ({"world": {"resolution": 1e18}}, "oracle.distances"),
+])
+def test_impossible_distance_names_its_key(data, key):
+    with pytest.raises(ConfigError, match=rf"^{key}: no two voxel centres of "
+                                          rf"world.dims \(64, 64, 8\)"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_distances_within_tolerance_of_the_world_load():
+    # 64x64x8: centres lie 1 to 89.37 m apart; 127 m at tolerance 0.3
+    # reaches down to 88.9 m, and 0.8 m at 0.3 up to 1.04 m
+    ExperimentConfig.from_dict({"oracle": {"distances": [0.8, 127.0]},
+                                "aux": {"gate_distance": 127.0},
+                                "eval": {"buckets": [0.85, 111.0]}})
 
 
 # Numeric leaves that declare no Range, each with the check that bounds it.
@@ -474,7 +506,7 @@ def _entry_code(monkeypatch, argv) -> int:
     # values of any section that loaded, then failed in oracle or later
     "oracle.region_fractions=[0,0,0]", "oracle.region_fractions=[0.96,0.02,0.02]",
     "world.dims=[1024,1024,32]", "eval.rho_grid=[]", "aux.total_env_steps=-1",
-    "world.flight_z=0"])
+    "world.flight_z=0", "oracle.distances=[1e18]", "aux.gate_distance=1e18"])
 def test_aux_values_that_failed_late_are_config_errors(tmp_path, monkeypatch,
                                                        capsys, override):
     for stage in ("gen-world", "train-aux"):
@@ -506,7 +538,7 @@ def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
     # missing upstream artifact
     assert run(["train-nav", "--set", "out_dir=" + out]) == 3
     # a world file whose metadata does not parse
-    small = ["--set", "out_dir=" + out, "--set", "world.dims=[16,16,8]"]
+    small = ["--set", "out_dir=" + out, "--set", "world.dims=[24,24,8]"]
     assert run(["gen-world", *small]) == 0
     path = os.path.join(out, WORLD_FILE)
     with open(path) as f:
@@ -599,7 +631,7 @@ def test_console_script_runs(tmp_path):
     out = str(tmp_path / "run")
     proc = subprocess.run(
         run + ["gen-world", "--set", "out_dir=" + out,
-               "--set", "world.dims=[16,16,8]", "--set", "world.density=0.05"],
+               "--set", "world.dims=[24,24,8]", "--set", "world.density=0.05"],
         capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -937,7 +969,7 @@ def test_report_rejects_corrupt_episode_csv(mini_c, tmp_path, monkeypatch,
                                       ("S", None, 1)])
 def test_actor_of_another_shape_is_refused(tmp_path, monkeypatch, capsys,
                                            mode, u, v):
-    small = ["--set", f"out_dir={tmp_path}", "--set", "world.dims=[16,16,8]",
+    small = ["--set", f"out_dir={tmp_path}", "--set", "world.dims=[24,24,8]",
              "--set", f"mode={mode}"]
     cfg = load_config(None, small[1::2])
     assert _entry_code(monkeypatch, ["gen-world", *small]) == 0

@@ -479,6 +479,29 @@ def test_label_dataset_pinned(tmp_path, res, locked, p_f, p_d):
     assert h.hexdigest()[:16] == LABEL_DIGESTS[(res, locked, p_f, p_d)]
 
 
+def test_label_dataset_boosts_where_the_whole_grid_is_crowded():
+    # an open grid, so sensed voxels lie on its faces too: the boost reads
+    # the crowding of the box around the sensed voxels, which must equal
+    # the whole grid's crowding there
+    rng = np.random.default_rng(3)
+    occ = rng.random((10, 9, 4)) < 0.3
+    occ[0, 0, 1] = occ[9, 8, 2] = occ[0, 8, 3] = False
+    grid = worldsim.VoxelGrid(dims=(10, 9, 4), resolution=0.5, occupancy=occ)
+    crowd = pathoracle.crowding_mask(occ)
+    free = np.argwhere(~occ)
+    paths = [[(0, 0, 1), (9, 8, 2), (0, 8, 3), (4, 4, 0)]]
+    paths += [[tuple(v) for v in free[rng.choice(len(free), 5)]] for _ in range(6)]
+    seen = set()
+    for path in paths:
+        reps = [3 if crowd[v] else 1 for v in path[:-1]]
+        seen.update(reps)
+        plain = label_dataset(grid, [path], depth=2)
+        boosted = label_dataset(grid, [path], depth=2, crowd_boost=3)
+        assert np.array_equal(boosted.fifo_vectors,
+                              np.repeat(plain.fifo_vectors, reps, axis=0))
+    assert seen == {1, 3}
+
+
 def test_label_rollouts_crowd_boost(world, flat_graph):
     regions = partition_regions(world, (0.5, 0.25, 0.25))
     sampler = TaskSampler(flat_graph, regions, flight_z=3)

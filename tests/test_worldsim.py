@@ -182,6 +182,26 @@ def test_cast_rays_cap_and_errors(empty):
         cast_rays(empty, (8.0, 8.0, 4.0), x, max_range=float("nan"))
 
 
+def test_single_origin_sensor_errors_name_the_origin():
+    # an open grid: voxel 0 is free, so a point on its low face is inside
+    occ = np.zeros((4, 4, 4), dtype=bool)
+    occ[2, 1, 1] = True
+    grid = VoxelGrid(dims=(4, 4, 4), resolution=0.5, occupancy=occ)
+    x = [(1.0, 0.0, 0.0)]
+    for point in ((-0.0, 0.0, 0.0), (1.99, 1.99, 1.99), (0.999, 0.5, 0.5)):
+        cast_rays(grid, point, x)           # inside, free: no error
+    for point, what in (((1.0, 0.5, 0.5), "inside an occupied voxel"),
+                        ((1.2, 0.74, 0.99), "inside an occupied voxel"),
+                        ((2.0, 0.5, 0.5), "outside the grid"),
+                        ((-1e-300, 0.5, 0.5), "outside the grid"),
+                        ((0.5, 1e300, 0.5), "outside the grid"),
+                        ((0.5, 0.5, math.nan), "outside the grid"),
+                        ((-math.inf, 0.5, 0.5), "outside the grid")):
+        with pytest.raises(SensorError) as e:
+            cast_rays(grid, point, x)
+        assert str(e.value) == f"ray origin {list(point)} is {what}"
+
+
 # --- segments and motion ---
 
 def test_segment_hits_free_and_blocked(empty):
@@ -275,17 +295,23 @@ def test_sense_depths_normalized_and_masked(empty):
 
 
 def test_mean_depths_over_acquired_rays(world):
-    s = DroneState(position=(16.5, 16.5, 4.0), goal=(20.5, 12.5, 4.0))
-    for p_f in FORWARD_LEVELS:
-        for p_d in DOWNWARD_LEVELS:
+    # bit for bit the mean of the acquired entries, at every power pair
+    for pos, goal in (((16.5, 16.5, 4.0), (20.5, 12.5, 4.0)),
+                      ((5.3, 27.1, 2.2), (30.5, 2.5, 6.5)),
+                      ((24.9, 9.6, 5.5), (24.9, 9.6, 1.5))):
+        s = DroneState(position=pos, goal=goal)
+        for p_f, p_d in ((f, d) for f in FORWARD_LEVELS for d in DOWNWARD_LEVELS):
             config = SensorConfig(p_f, p_d)
             v = sense(world, s, config)
             fwd, down = mean_depths(v, config)
-            assert fwd == v[forward_level_indices(p_f)].mean() > 0.0
+            assert type(fwd) is float and type(down) is float
+            want = v[forward_level_indices(p_f)].mean()
+            assert fwd > 0.0 and np.float64(fwd).tobytes() == want.tobytes()
             if p_d == 0:
                 assert math.isnan(down)
             else:
-                assert down == v[FORWARD_RAYS + downward_level_indices(p_d)].mean() > 0.0
+                want = v[FORWARD_RAYS + downward_level_indices(p_d)].mean()
+                assert down > 0.0 and np.float64(down).tobytes() == want.tobytes()
 
 
 def test_sense_forward_fov_tracks_goal_direction(empty):
@@ -332,6 +358,20 @@ def test_fifo_validation_and_copy():
     flat = q.flatten()
     flat[0] = 1.0
     assert np.all(q.flatten() == 0.0)
+
+
+def test_fifo_push_leaves_earlier_flattens_alone():
+    # push shifts the slots in place; what flatten() returned before must
+    # not move with them, nor may a pushed vector edited afterwards
+    q = FifoQueue(3, width=2)
+    seen = []
+    for k in range(1, 6):
+        vec = np.array([k, -k], dtype=float)
+        seen.append(q.push(vec).flatten())
+        vec[:] = 99.0
+    want = [[1, -1, 0, 0, 0, 0], [2, -2, 1, -1, 0, 0], [3, -3, 2, -2, 1, -1],
+            [4, -4, 3, -3, 2, -2], [5, -5, 4, -4, 3, -3]]
+    assert [f.tolist() for f in seen] == want
 
 
 def test_observation_layout_masks():
