@@ -245,16 +245,16 @@ class ExperimentConfig:
         """Refuse a task distance d that no two voxel centres can be apart
         within the tolerance tol its stage samples at: d * (1 + tol) below
         one voxel, or d * (1 - tol) beyond the world's diagonal."""
-        w, e, tol = self.world, self.eval, pathoracle.SAMPLE_TOLERANCE
+        w, e, sampler = self.world, self.eval, pathoracle.SAMPLE_TOLERANCE
         far = w.resolution * math.sqrt(sum((n - 1) ** 2 for n in w.dims))
         gate = () if self.aux.gate_distance is None else (self.aux.gate_distance,)
         for key, distances, tol in (
                 ("oracle.distances", self.oracle.distances, self.oracle.sample_tolerance),
                 ("eval.buckets", e.buckets, e.sample_tolerance),
                 ("eval.adapt_distance", (e.adapt_distance,), e.sample_tolerance),
-                ("curriculum.start", (self.curriculum.start,), tol),
-                ("curriculum.maximum", (self.curriculum.maximum,), tol),
-                ("aux.gate_distance", gate, tol)):
+                ("curriculum.start", (self.curriculum.start,), sampler),
+                ("curriculum.maximum", (self.curriculum.maximum,), sampler),
+                ("aux.gate_distance", gate, sampler)):
             for d in distances:
                 if d * (1 + tol) < w.resolution or d * (1 - tol) > far:
                     raise ConfigError(

@@ -334,13 +334,12 @@ def _origin_voxels(grid: VoxelGrid, origin: np.ndarray) -> np.ndarray:
         if 0 <= x < nx and 0 <= y < ny and 0 <= z < nz and \
                 not grid.occupancy[int(x), int(y), int(z)]:
             return np.array((int(x), int(y), int(z)), dtype=np.int64)
-    else:
-        cell = np.floor(origin / grid.resolution)
-        if (cell >= 0).all() and (cell < grid.dims).all():     # False for NaN
-            voxel = cell.astype(np.int64)
-            if not grid.occupancy[tuple(voxel.T)].any():
-                return voxel
-    rows = np.floor(origin / grid.resolution).reshape(-1, 3)
+    cell = np.floor(origin / grid.resolution)
+    if origin.ndim == 2 and (cell >= 0).all() and (cell < grid.dims).all():  # NaN fails
+        voxel = cell.astype(np.int64)
+        if not grid.occupancy[tuple(voxel.T)].any():
+            return voxel
+    rows = cell.reshape(-1, 3)
     inside = np.all((rows >= 0) & (rows < grid.dims), axis=1)
     bad = ~inside
     bad[inside] = grid.occupancy[tuple(rows[inside].astype(np.int64).T)]

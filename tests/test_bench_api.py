@@ -4,6 +4,7 @@ benchmark's files are read, never edited."""
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,27 +15,26 @@ import slimnav
 BENCH = Path(__file__).resolve().parent.parent / "slimbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("slimbench_spans",
-                                                  BENCH / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"slimbench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_functions_exist():
-    spans = load_spans()
+    spans = load_bench("spans")
     for owner, attr, _ in spans._targets(slimnav):
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
 
 
-# the spans of worldsim and slimnet that a traced run must see called
-# (`expected_spans` in slimbench/workloads.py): fly-c and fly-s need them
-# all; plan, which flies through label_rollouts, all but active_params
-FLY_SPANS = ("worldsim.sense", "worldsim.cast_rays", "worldsim.step",
-             "worldsim.segment_hits", "worldsim.fifo", "slimnet.mask",
-             "slimnet.active_params")
-PLAN_SPANS = FLY_SPANS[:-1]
+def expected(workload, prefixes=("worldsim.", "slimnet.")):
+    """The worldsim and slimnet spans a traced run of `workload` must see
+    called, or it exits 3."""
+    wl = load_bench("workloads").WORKLOADS[workload]
+    return [n for n in wl.expected_spans if n.startswith(prefixes)]
 
 
 def traced_counts(spans, fly):
@@ -52,7 +52,7 @@ def test_a_flight_reaches_every_traced_flight_function():
     """A refactor that inlines one of these calls (say `segment_hits` into
     `step`) hides it from the traced benchmark run, which then exits 3."""
     from slimnav import auxtrain, pathoracle, worldsim
-    spans = load_spans()
+    spans = load_bench("spans")
     grid = worldsim.generate_world((20, 20, 8), density=0.1, seed=1)
     graph = pathoracle.build_graph(grid, vertical_locked=True)
     sampler = pathoracle.TaskSampler(
@@ -65,10 +65,12 @@ def test_a_flight_reaches_every_traced_flight_function():
         grid, nav, mode="C", spawn=grid.center_of(task.spawn),
         goal=grid.center_of(task.goal), max_steps=3, vertical_locked=True,
         policy=lambda x: [0.5]))
-    assert [n for n in FLY_SPANS if counts.get(n, 0) == 0] == []
+    want = expected("fly-c")
+    assert "worldsim.segment_hits" in want and "slimnet.active_params" in want
+    assert [n for n in want if counts.get(n, 0) == 0] == []
     counts = traced_counts(spans, lambda: pathoracle.label_rollouts(
         grid, graph, [task], nav.forward, depth=4, max_steps=3))
-    assert [n for n in PLAN_SPANS if counts.get(n, 0) == 0] == []
+    assert [n for n in expected("plan") if counts.get(n, 0) == 0] == []
 
 
 def slimnav_reads(tree):
