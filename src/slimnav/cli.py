@@ -811,12 +811,13 @@ def _bench_actor(cfg: ExperimentConfig) -> SlimmableMLP:
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
-    """Time full-width inference against auxiliary-adapted truncated
-    inference on a static observation set; speedup = (v - u) / v. The
-    adapted step runs the actor, then the truncated sub-network of the
-    (rho, power pair) its action decodes to (`decode_action`): slimmed to
-    rho and fed only the inputs of the pair, gathered inside the timed
-    step."""
+    """Time full-width inference against auxiliary-adapted inference on a
+    static observation set; speedup = (v - u) / v. The adapted step runs
+    the actor, then the navigator through the sub-network of the (rho,
+    power pair) its action decodes to (`decode_action`): slimmed to rho and
+    fed only the inputs of the pair, gathered inside the timed step. Each
+    distinct sub-network's blocks are held once (`SlimmableMLP.hold`), as a
+    flight holds them for its episode."""
     write_config_copy(cfg)
     b = cfg.bench
     chash = cfg.config_hash()
@@ -832,16 +833,13 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     for size in b.sizes:
         spec = dataclasses.replace(cfg.nav_spec(), q=size)
         nav = SlimmableMLP(spec, seed=b.seed)
-        # materialize each distinct truncated sub-network once; at flight
-        # time the sub-network persists until the action changes
-        subs = {}
+        held = {}
         steps = []
         for rho, pair in actions:
             mask = SlimMask(spec, rho, layout.input_mask(*pair))
-            if (mask.active_hidden, pair) not in subs:
-                subs[mask.active_hidden, pair] = (nav.truncated(mask),
-                                                  mask.input_index)
-            steps.append(subs[mask.active_hidden, pair])
+            if (mask.active_hidden, pair) not in held:
+                held[mask.active_hidden, pair] = nav.hold(mask)
+            steps.append(held[mask.active_hidden, pair])
         t_full = []
         t_slim = []
         for _ in range(b.repeats):
@@ -850,9 +848,9 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
                 nav.forward(x)
             t_full.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            for x, (sub, idx) in zip(obs, steps):
+            for x, mask in zip(obs, steps):
                 aux.forward(x)
-                sub.forward(x if idx is None else x[idx])
+                nav.forward(x, mask)
             t_slim.append(time.perf_counter() - t0)
         v = float(np.median(t_full))
         u = float(np.median(t_slim))

@@ -4,7 +4,10 @@ A network holds full-size weight matrices; a SlimMask selects, per forward
 pass, a prefix of each hidden layer (the first roof(rho * q_i) nodes) and an
 arbitrary subset of input nodes. The masked pass computes on the physically
 sliced sub-matrices, so it is bit-identical to running an explicitly
-truncated copy of the network.
+truncated copy of the network. A forward copies its active blocks on every
+call, so it always reads the current parameters; a flight, whose navigator
+is frozen, copies each sub-network's blocks once and holds them in its masks
+(`SlimmableMLP.hold`).
 
 Parameters live in one float64 vector, `params`, laid out as the weight
 file stores them (W0 row major, b0, W1, b1, ...); `weights` and `biases` are
@@ -21,6 +24,7 @@ from the critic) and forms no weight products.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
@@ -132,6 +136,10 @@ class SlimMask:
     """Active sub-network selection: slimming factor rho (prefix of each
     hidden layer) plus a boolean input mask."""
 
+    # (network, its active layers) on a mask made by SlimmableMLP.hold; a
+    # plain mask holds no blocks, so every forward through it slices afresh
+    held = None
+
     def __init__(self, spec: MLPSpec, rho: float = 1.0, active_inputs=None):
         self.active_hidden = active_widths(spec, rho)
         active_inputs, n = _checked_inputs(spec, active_inputs)
@@ -201,7 +209,24 @@ class SlimmableMLP:
             rows = slice(h)
         return layers
 
+    def hold(self, mask: SlimMask) -> SlimMask:
+        """A copy of `mask` that carries this network's active blocks as
+        they are now, so forwards of this network through the copy skip
+        slicing them. Only for a network whose parameters do not change
+        while the copy lives: `run_episode` holds one per sub-network of its
+        frozen navigator for one flight. Another network's forward through
+        the copy slices afresh."""
+        held = copy.copy(mask)
+        held.held = (self, self._active_layers(mask))
+        return held
+
     def forward(self, x, mask: SlimMask | None = None, return_cache: bool = False):
+        """Output for one input vector or a batch of rows, through the
+        active sub-network of `mask` (None: the full network). The active
+        blocks are sliced and copied on every call, so no parameter update
+        can meet a stale block. Blocks are reused only inside a flight:
+        through a mask from `hold`, which `run_episode` makes for its frozen
+        navigator (and `bench` for the flight step it times)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         a = x[None, :] if single else x
@@ -209,12 +234,15 @@ class SlimmableMLP:
             raise ValueError(f"expected input width {self.spec.u}, got shape {x.shape}")
         if mask is None:
             mask = SlimMask(self.spec)
-        if mask.input_index is not None:
-            a = a[:, mask.input_index]
+        idx = mask.input_index
+        if idx is not None:
+            a = x[idx][None, :] if single else a[:, idx]
         # canonical memory layout: matmul accumulation order must not depend
         # on how the caller sliced the batch or on the input slice above
         a = np.ascontiguousarray(a)
-        layers = self._active_layers(mask)
+        held = mask.held
+        layers = (held[1] if held is not None and held[0] is self
+                  else self._active_layers(mask))
         *hidden, (_, _, W, b) = layers
         zs, acts = [], [a]
         for _, _, Wh, bh in hidden:

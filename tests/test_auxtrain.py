@@ -19,6 +19,7 @@ from slimnav.slimnet import MLPSpec, SlimMask, SlimmableMLP, active_params
 from slimnav.worldsim import (ACTIVE, COLLIDED, MAX_POWER, MIN_POWER,
                               OBS_WIDTH, REACHED, ObservationLayout)
 
+from action_reference import decode_action as reference_decode_action
 from td3_toy import train_toy_agent
 
 
@@ -269,6 +270,31 @@ def test_run_episode_builds_one_mask_per_width_and_pair(small_world, monkeypatch
         assert s.m_active == active_params(nav.spec, s.rho)[0]
 
 
+@pytest.mark.parametrize("mode,actions,slices", [
+    # sensed pairs (3, 3), (1, 0), (3, 3), (1, 0), (1, 0) and (2, 2): two
+    # held keys, then a third
+    ("S", [[1.0, 0.0], [3.0, 3.0], [1.0, 0.0], [1.4, 0.2], [2.0, 2.0], [3.0, 3.0]], 3),
+    # widths (8, 4) and (16, 8) of (16, 8) are reused; (9, 5) drops the
+    # oldest blocks, so the next two steps copy theirs again
+    ("C", [[0.5], [1.0], [0.5], [0.49], [1.0], [0.55], [0.5], [1.0]], 5)])
+def test_run_episode_holds_the_last_two_subnetworks(small_world, monkeypatch, mode,
+                                                    actions, slices):
+    # the navigator's blocks are copied once per held (active widths,
+    # sensed pair); every other forward of a held key runs on them
+    assert auxtrain.HELD_SUBNETS == 2
+    grid, nav = small_world
+    sliced = []
+    original = SlimmableMLP._active_layers
+    monkeypatch.setattr(SlimmableMLP, "_active_layers",
+                        lambda net, mask: sliced.append(net) or original(net, mask))
+    it = iter(actions)
+    log = run_episode(grid, nav, mode=mode, spawn=[3.5, 3.5, 3.5],
+                      goal=[16.5, 16.5, 3.5], policy=lambda x: next(it),
+                      max_steps=len(actions))
+    assert log.path_steps == len(actions)
+    assert len(sliced) == slices and all(net is nav for net in sliced)
+
+
 @pytest.mark.parametrize("rho_min,bad,shown", [(0.25, math.nan, "nan"),
                                                (0.0, -1.0, "0.0")])
 def test_run_episode_refuses_a_bad_rho_before_reusing_a_mask(small_world, rho_min,
@@ -343,6 +369,37 @@ def test_action_bounds_per_mode():
     low, high = action_bounds("S", 0.3)
     assert decode_action("S", [2.4, 7.0], low, high) == (1.0, (2, 3))
     assert decode_action("S", [-3.0, 0.6], low, high) == (1.0, (1, 1))
+
+
+def _same_value(a, b) -> bool:
+    """Equal in value and type, where NaN equals NaN."""
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(_same_value, a, b)))
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+def test_decode_action_equals_reference():
+    edges = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 3.5, 0.49999999999999994,
+             2.5000000000000004, 7.0, -7.0, 1e300]
+    for mode in ("C", "S"):
+        low, high = action_bounds(mode, 0.25)
+        dims = low.size
+        actions = [np.array(a) for a in np.array(np.meshgrid(*[edges] * dims)).T.reshape(-1, dims)]
+        actions += [list(a) for a in actions[:40]]      # callers may pass lists
+        if mode == "C":
+            actions += [np.array([math.nan]), np.array([math.inf]), np.array([-math.inf])]
+        for a in actions:
+            got = decode_action(mode, a, low, high)
+            want = reference_decode_action(mode, a, low, high)
+            assert _same_value(got, want), (mode, a, got, want)
+    low, high = action_bounds("S", 0.25)
+    for bad in (math.nan, math.inf, -math.inf):
+        for a in ([bad, 2.0], [2.0, bad]):
+            with pytest.raises(Exception) as want:
+                reference_decode_action("S", np.array(a), low, high)
+            with pytest.raises(want.type):
+                decode_action("S", np.array(a), low, high)
 
 
 def task_sampler():

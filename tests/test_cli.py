@@ -990,15 +990,16 @@ def test_actor_of_another_shape_is_refused(tmp_path, monkeypatch, capsys,
 
 def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
     # without a trained actor, bench builds a mode-S actor and times the
-    # input-masked sub-network of each power pair it emits
-    truncated = []
-    original = slimnet.SlimmableMLP.truncated
+    # input-masked sub-network of each power pair it emits, through blocks
+    # held once per pair as a flight holds them
+    held = []
+    original = slimnet.SlimmableMLP.hold
 
     def spy(net, mask):
-        truncated.append(mask)
+        held.append(mask)
         return original(net, mask)
 
-    monkeypatch.setattr(slimnet.SlimmableMLP, "truncated", spy)
+    monkeypatch.setattr(slimnet.SlimmableMLP, "hold", spy)
     cfg = load_config(None, [f"out_dir={tmp_path}", "mode=S",
                              "bench.sizes=[[8]]", "bench.n_observations=30",
                              "bench.repeats=1"])
@@ -1011,9 +1012,10 @@ def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
     masks = {(p_f, p_d): layout.input_mask(p_f, p_d).tobytes()
              for p_f in worldsim.FORWARD_LEVELS
              for p_d in worldsim.DOWNWARD_LEVELS}
-    assert truncated and all(m.active_hidden == (8,) for m in truncated)
-    assert all(m.active_inputs.tobytes() in masks.values() for m in truncated)
-    assert any(m.input_index is not None for m in truncated)
+    assert held and all(m.active_hidden == (8,) for m in held)
+    assert all(m.active_inputs.tobytes() in masks.values() for m in held)
+    assert any(m.input_index is not None for m in held)
+    assert len({m.active_inputs.tobytes() for m in held}) == len(held)
     _, rows = read_csv(os.path.join(cfg.out_dir, BENCH_FILE), cfg.config_hash())
     assert float(rows[0][3]) == 1.0     # mode S never slims
 

@@ -279,9 +279,10 @@ def _random_net(spec, seed):
 
 def _assert_matches_reference(net, mask, rng):
     """Outputs, parameter gradients and input gradients byte-equal to the
-    reference passes at batch 1 (one vector) and at batch 64; the truncated
-    copy's output too."""
+    reference passes at batch 1 (one vector) and at batch 64; the outputs
+    of the truncated copy and of forwards through held blocks too."""
     sub = net.truncated(mask)
+    held = net.hold(mask)
     for x in (rng.uniform(0.0, 1.0, size=net.spec.u),
               rng.uniform(0.0, 1.0, size=(64, net.spec.u))):
         g = rng.normal(size=(*x.shape[:-1], net.spec.v))
@@ -289,6 +290,7 @@ def _assert_matches_reference(net, mask, rng):
         y_ref, cache_ref = reference_forward(net, x, mask, return_cache=True)
         assert y.tobytes() == y_ref.tobytes()
         assert net.forward(x, mask).tobytes() == y_ref.tobytes()
+        assert net.forward(x, held).tobytes() == y_ref.tobytes()
         assert sub.forward(x[..., mask.active_inputs]).tobytes() == y_ref.tobytes()
         grads = net.backward(cache, g)
         ref = reference_backward(net, cache_ref, g)
@@ -325,6 +327,37 @@ def test_slicer_matches_reference_for_td3_nets():
     for net in (critic, actor):
         _assert_matches_reference(net, SlimMask(net.spec), rng)
         _assert_matches_reference(net, SlimMask(net.spec, 0.25), rng)
+
+
+# --- blocks held for a flight ---
+
+def test_plain_mask_never_meets_a_stale_block():
+    # outside a flight a mask holds no blocks: a forward after an update
+    # reads the updated weights, where a per-mask memo would not
+    net = _random_net(NAV_SPEC, 47)
+    rng = np.random.default_rng(48)
+    keep = ObservationLayout(4).input_mask(2, 1)
+    mask = SlimMask(NAV_SPEC, 0.5, keep)
+    x = rng.uniform(0.0, 1.0, NAV_SPEC.u)
+    before = net.forward(x, mask)
+    assert before.tobytes() == reference_forward(net, x, SlimMask(NAV_SPEC, 0.5, keep)).tobytes()
+    _, cache = net.forward(x, mask, return_cache=True)
+    Adam(net, lr=1e-2).step(net.backward(cache, np.ones(NAV_SPEC.v)))
+    after = net.forward(x, mask)
+    assert after.tobytes() == reference_forward(net, x, SlimMask(NAV_SPEC, 0.5, keep)).tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_held_mask_serves_only_its_own_network():
+    net = _random_net(NAV_SPEC, 49)
+    other = _random_net(NAV_SPEC, 50)
+    mask = SlimMask(NAV_SPEC, 0.75, ObservationLayout(4).input_mask(1, 3))
+    held = net.hold(mask)
+    assert mask.held is None        # the plain mask is left without blocks
+    x = np.random.default_rng(51).uniform(0.0, 1.0, NAV_SPEC.u)
+    assert other.forward(x, held).tobytes() == reference_forward(other, x, mask).tobytes()
+    assert (held.active_hidden, held.input_index.tobytes()) == \
+        (mask.active_hidden, mask.input_index.tobytes())
 
 
 def _assert_sandwich_matches_reference(net, masks, rng):

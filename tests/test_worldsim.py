@@ -14,7 +14,9 @@ from slimnav.worldsim import (ACTIVE, COLLIDED, DOWNWARD_LEVELS, DOWNWARD_RAYS,
                               VoxelGrid, cast_rays, clamp_motion,
                               downward_level_indices, forward_level_indices,
                               generate_world, load_world, mean_depths,
-                              save_world, segment_hits, sense, step)
+                              save_world, segment_hits, sense, step,
+                              forward_ray_directions, _aim, _DOWN_DIRS,
+                              _DOWNWARD_IDX, _FORWARD_IDX)
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +228,21 @@ def test_clamp_motion_bounds(delta):
     assert np.allclose(clamp_motion(d, max_step=2.0), d)
 
 
+def test_clamp_motion_equals_np_clip():
+    # the scalar clip keeps np.clip's bytes on the edge values too
+    edges = [0.0, -0.0, 2.0, -2.0, 2.5, -7.0, 1e-300, math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        delta = rng.choice(edges, size=3)
+        for max_step in (2.0, 2, 0.5):
+            for locked in (False, True):
+                want = np.clip(delta, -max_step, max_step)
+                if locked:
+                    want[2] = 0.0
+                got = clamp_motion(list(delta), max_step, locked)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_step_reaches_goal(empty):
     s = DroneState(position=(5.0, 5.0, 4.0), goal=(10.0, 5.0, 4.0))
     s = step(empty, s, (2.0, 0.0, 0.0))
@@ -326,6 +343,31 @@ def test_sense_forward_fov_tracks_goal_direction(empty):
                  SensorConfig(3, 0))
     assert toward[:FORWARD_RAYS].min() < 0.04     # level 3 acquires every forward ray
     assert away[:FORWARD_RAYS].min() > 0.04
+
+
+def test_aim_directions_are_the_acquired_rows_of_the_full_sets():
+    # per pair, only the acquired forward square is computed and the
+    # downward rows come from a table; both keep the bytes of the full sets
+    rng = np.random.default_rng(8)
+    position = np.array([10.5, 10.5, 3.5])
+    goals = [position + (0.0, 0.0, 4.0)]        # straight above: heading 0
+    goals += [position + rng.uniform(-20.0, 20.0, size=3) for _ in range(40)]
+    for goal in goals:
+        to_goal = goal - position
+        heading = (math.atan2(to_goal[1], to_goal[0])
+                   if math.hypot(to_goal[0], to_goal[1]) > 1e-9 else 0.0)
+        for p_f in FORWARD_LEVELS:
+            for p_d in DOWNWARD_LEVELS:
+                dirs, _, _ = _aim(position, goal, SensorConfig(p_f, p_d))
+                want = np.concatenate([forward_ray_directions(heading)[_FORWARD_IDX[p_f]],
+                                       _DOWN_DIRS[_DOWNWARD_IDX[p_d]]])
+                assert dirs.shape == want.shape and dirs.tobytes() == want.tobytes()
+    for heading in rng.uniform(-4.0, 4.0, size=40):
+        full = forward_ray_directions(heading)
+        assert full.shape == (FORWARD_RAYS, 3)
+        for p_f in FORWARD_LEVELS:
+            got = forward_ray_directions(heading, p_f)
+            assert got.tobytes() == full[_FORWARD_IDX[p_f]].tobytes()
 
 
 def test_sense_rejects_terminal_state(empty):
