@@ -84,6 +84,7 @@ class ReplayBuffer:
         self.dones = np.zeros(capacity, dtype=np.float32)
         self.ptr = 0
         self.size = 0
+        self._batches = {}      # batch size -> the float64 arrays sample fills
 
     def add(self, s, a, r, s2, done) -> None:
         i = self.ptr
@@ -96,14 +97,25 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng):
+        """(states, actions, rewards, next_states, dones) of `batch_size`
+        distinct transitions, as float64. The arrays are kept per batch size
+        and refilled in place, so the next `sample` of that size overwrites
+        a returned batch: a caller that keeps one past that copies it. Fresh
+        arrays faulted in about 236 new pages on every call of a default TD3
+        batch (128 x 428 inputs) and took 0.36-0.50 ms of it, against 0.09 ms
+        now; the kept ones hold 0.9 MB for the life of the buffer, which adds
+        about 1 MB (2%) to the learn benchmark's peak RSS."""
         if batch_size > self.size:
             raise ValueError(f"batch {batch_size} exceeds buffer size {self.size}")
         idx = rng.choice(self.size, size=batch_size, replace=False)
-        return (self.states[idx].astype(np.float64),
-                self.actions[idx].astype(np.float64),
-                self.rewards[idx].astype(np.float64),
-                self.next_states[idx].astype(np.float64),
-                self.dones[idx].astype(np.float64))
+        columns = (self.states, self.actions, self.rewards, self.next_states, self.dones)
+        batch = self._batches.get(batch_size)
+        if batch is None:
+            batch = self._batches[batch_size] = tuple(
+                np.empty((batch_size, *c.shape[1:])) for c in columns)
+        for c, out in zip(columns, batch):
+            out[...] = c[idx]
+        return batch
 
 
 @dataclass

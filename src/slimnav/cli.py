@@ -811,20 +811,23 @@ def _bench_actor(cfg: ExperimentConfig) -> SlimmableMLP:
 
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
-    """Time full-width inference against auxiliary-adapted inference on a
-    static observation set; speedup = (v - u) / v. The adapted step runs
-    the actor, then the navigator through the sub-network of the (rho,
-    power pair) its action decodes to (`decode_action`): slimmed to rho and
-    fed only the inputs of the pair, gathered inside the timed step. Each
-    distinct sub-network's blocks are held once (`SlimmableMLP.hold`), as a
-    flight holds them for its episode."""
+    """Time full-width inference against auxiliary-adapted inference on the
+    first `bench.n_observations` FIFOs of the oracle's test data; speedup =
+    (v - u) / v. The adapted step runs the actor, then the navigator
+    through the sub-network of the (rho, power pair) its action decodes to
+    (`decode_action`): slimmed to rho and fed only the inputs of the pair,
+    gathered inside the timed step. Each distinct sub-network's blocks are
+    held once (`SlimmableMLP.hold`), as a flight holds them for its
+    episode."""
     write_config_copy(cfg)
     b = cfg.bench
     chash = cfg.config_hash()
-    rng = np.random.default_rng(b.seed)
-    n_in = cfg.sensor.fifo_depth * OBS_WIDTH
-    obs = rng.uniform(0.0, 1.0, size=(b.n_observations, n_in))
     aux = _bench_actor(cfg)
+    test = _load(cfg, DATA_FILES["test"], "oracle", pathoracle.load_dataset)
+    obs = test.fifo_vectors[:b.n_observations]
+    if len(obs) == 0:
+        raise DependencyError(f"{_artifact(cfg, DATA_FILES['test'])} holds no "
+                              f"observations to time; rerun oracle")
     low, high = action_bounds(cfg.mode, cfg.nav.rho_min)
     layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
     actions = [decode_action(cfg.mode, aux.forward(x), low, high) for x in obs]

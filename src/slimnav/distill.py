@@ -7,6 +7,13 @@ configurations against those soft targets. All gradients are summed into a
 single optimizer step. Mode C draws the intermediate configurations as
 slimming factors, mode S as sensor power pairs realised as input masks.
 
+The passes run in float32, validation in float64: `train_navigation` casts
+each minibatch and its targets to float32, the precision the dataset files
+and the weights already have, so the sandwich's products run in float32
+while the gradients and the Adam step stay float64 (mixed-precision
+training, Micikevicius et al. 2018, arXiv:1710.03740). Every evaluation
+forward stays float64.
+
 `DistillConfig` is also the ``nav`` section of the CLI configuration, which
 adds the network shape and the rollout count to it."""
 
@@ -107,8 +114,10 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
     """Distillation-train a navigation network.
 
     Shuffled minibatches, one Adam step per batch on the summed sandwich
-    gradients. Early stopping tracks validation MSE at the full
-    configuration with the given patience and restores the best snapshot.
+    gradients. The passes run in float32, validation in float64: each
+    minibatch and its targets are cast to float32 as they are drawn.
+    Early stopping tracks validation MSE at the full configuration with the
+    given patience and restores the best snapshot.
     """
     if mode not in ("C", "S"):
         raise ConfigError(f"mode must be 'C' or 'S', got {mode!r}")
@@ -132,7 +141,8 @@ def train_navigation(train_ds, val_ds, spec: MLPSpec, cfg: DistillConfig,
         losses = []
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            xb, yb = x_train[idx], y_train[idx]
+            xb = x_train[idx].astype(np.float32)
+            yb = y_train[idx].astype(np.float32)
             if mode == "C":
                 grads, loss = supervised_distillation_C(net, xb, yb, cfg, rng)
             else:

@@ -7,7 +7,12 @@ sliced sub-matrices, so it is bit-identical to running an explicitly
 truncated copy of the network. A forward copies its active blocks on every
 call, so it always reads the current parameters; a flight, whose navigator
 is frozen, copies each sub-network's blocks once and holds them in its masks
-(`SlimmableMLP.hold`).
+(`SlimmableMLP.hold`). A full-width float64 forward copies nothing: its
+blocks are views of the parameters.
+
+A pass computes in the dtype of its input: a float32 batch runs float32
+blocks, activations and deltas (distillation's passes), any other input
+runs in float64. Parameters, gradients and the optimizer stay float64.
 
 Parameters live in one float64 vector, `params`, laid out as the weight
 file stores them (W0 row major, b0, W1, b1, ...); `weights` and `biases` are
@@ -172,7 +177,10 @@ class SlimmableMLP:
     """Dense ReLU network trainable at any slimming factor.
 
     Weight matrices are (fan_in, fan_out) views into `params`; forward is
-    x @ W + b. With init false every parameter starts at zero.
+    x @ W + b. With init false every parameter starts at zero. A float32
+    input runs forward, `backward` and `input_grad` in float32, on blocks
+    rounded from `params`; any other input runs in float64, and the
+    gradients `backward` returns are float64 either way.
     """
 
     def __init__(self, spec: MLPSpec, seed: int = 0, init: bool = True):
@@ -189,6 +197,11 @@ class SlimmableMLP:
                 else:
                     limit = math.sqrt(6.0 / (fan_in + fan_out))  # Xavier for output
                 W[:] = _f32(rng.uniform(-limit, limit, size=W.shape))
+        # the full network as _active_layers lays it out: at full width every
+        # block is a C-contiguous view of params, current after any in-place
+        # update of params (Adam.step, Polyak averaging, a snapshot restore)
+        self._full_layers = [(slice(None), W.shape[1], W, b)
+                             for W, b in zip(self.weights, self.biases)]
 
     def copy(self) -> "SlimmableMLP":
         net = SlimmableMLP(self.spec, seed=self.seed, init=False)
@@ -197,15 +210,17 @@ class SlimmableMLP:
 
     # forward / backward
 
-    def _active_layers(self, mask: SlimMask) -> list:
+    def _active_layers(self, mask: SlimMask, dtype=np.float64) -> list:
         """The active sub-network, one (rows, h, W, b) per layer: the block
         weights[i][rows, :h] (rows: the input index, all rows or the previous
         layer's prefix) copied C-contiguous like a truncated net's matrices,
-        so masked and truncated outputs match bit for bit, and the bias b."""
+        so masked and truncated outputs match bit for bit, and the bias b;
+        both in `dtype`."""
         rows = slice(None) if mask.input_index is None else mask.input_index
         layers = []
         for W, b, h in zip(self.weights, self.biases, mask.active_hidden + (self.spec.v,)):
-            layers.append((rows, h, np.ascontiguousarray(W[rows, :h]), b[:h]))
+            layers.append((rows, h, np.ascontiguousarray(W[rows, :h], dtype=dtype),
+                           np.asarray(b[:h], dtype=dtype)))
             rows = slice(h)
         return layers
 
@@ -222,17 +237,23 @@ class SlimmableMLP:
 
     def forward(self, x, mask: SlimMask | None = None, return_cache: bool = False):
         """Output for one input vector or a batch of rows, through the
-        active sub-network of `mask` (None: the full network). The active
-        blocks are sliced and copied on every call, so no parameter update
-        can meet a stale block. Blocks are reused only inside a flight:
-        through a mask from `hold`, which `run_episode` makes for its frozen
-        navigator (and `bench` for the flight step it times)."""
-        x = np.asarray(x, dtype=float)
+        active sub-network of `mask` (None: the full network), computed in
+        float32 for a float32 input and in float64 for any other. The
+        active blocks are sliced and copied on every call, so no parameter
+        update can meet a stale block. A full-width float64 forward reads
+        views of `params` instead, which are never stale either. Blocks are
+        reused only inside a flight: through a mask from `hold`, which
+        `run_episode` makes for its frozen navigator (and `bench` for the
+        flight step it times)."""
+        x = np.asarray(x)
+        if x.dtype != np.float32:
+            x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         a = x[None, :] if single else x
         if a.ndim != 2 or a.shape[1] != self.spec.u:
             raise ValueError(f"expected input width {self.spec.u}, got shape {x.shape}")
-        if mask is None:
+        full = mask is None
+        if full:
             mask = SlimMask(self.spec)
         idx = mask.input_index
         if idx is not None:
@@ -241,8 +262,14 @@ class SlimmableMLP:
         # on how the caller sliced the batch or on the input slice above
         a = np.ascontiguousarray(a)
         held = mask.held
-        layers = (held[1] if held is not None and held[0] is self
-                  else self._active_layers(mask))
+        if x.dtype == np.float32:
+            layers = self._active_layers(mask, np.float32)
+        elif full:
+            layers = self._full_layers
+        elif held is not None and held[0] is self:
+            layers = held[1]
+        else:
+            layers = self._active_layers(mask)
         *hidden, (_, _, W, b) = layers
         zs, acts = [], [a]
         for _, _, Wh, bh in hidden:
@@ -264,22 +291,23 @@ class SlimmableMLP:
         t = np.tanh(z)
         if spec.output_activation == "tanh":
             return spec.output_scale * t, t
-        lo = np.asarray(spec.output_low)
-        hi = np.asarray(spec.output_high)
+        lo = np.asarray(spec.output_low, dtype=z.dtype)
+        hi = np.asarray(spec.output_high, dtype=z.dtype)
         return lo + 0.5 * (t + 1.0) * (hi - lo), t
 
-    def _output_delta(self, out_aux, grad_output, single) -> np.ndarray:
-        """d(loss)/d(pre-activation output) from d(loss)/d(output), batched."""
+    def _output_delta(self, out_aux, grad_output, single, dtype) -> np.ndarray:
+        """d(loss)/d(pre-activation output) from d(loss)/d(output), batched,
+        in the forward's dtype."""
         spec = self.spec
-        g = np.asarray(grad_output, dtype=float)
+        g = np.asarray(grad_output, dtype=dtype)
         if single:
             g = g[None, :]
         if spec.output_activation == "identity":
             return g
         if spec.output_activation == "tanh":
             return g * spec.output_scale * (1.0 - out_aux**2)
-        hi = np.asarray(spec.output_high)
-        lo = np.asarray(spec.output_low)
+        hi = np.asarray(spec.output_high, dtype=dtype)
+        lo = np.asarray(spec.output_low, dtype=dtype)
         return g * 0.5 * (hi - lo) * (1.0 - out_aux**2)
 
     def backward(self, cache, grad_output, into: Grads | None = None) -> Grads:
@@ -287,9 +315,10 @@ class SlimmableMLP:
         through the forward's active blocks. Without `into` they fill a
         fresh Grads, zero on severed parameters; with it each active block
         is added into `into`, which is returned. The input gradient is not
-        formed: `input_grad` gives it."""
+        formed: `input_grad` gives it. The products run in the forward's
+        dtype and are stored in the float64 Grads."""
         layers, zs, acts, out_aux, single = cache
-        dz = self._output_delta(out_aux, grad_output, single)
+        dz = self._output_delta(out_aux, grad_output, single, acts[0].dtype)
         grads = Grads(self.spec) if into is None else into
         for i in range(len(layers) - 1, -1, -1):
             rows, h, W, _ = layers[i]
@@ -305,16 +334,17 @@ class SlimmableMLP:
 
     def input_grad(self, cache, grad_output) -> np.ndarray:
         """d(loss)/d(input) given d(loss)/d(output), shaped like the forward's
-        input and zero on masked-out inputs; no weight products are formed."""
-        layers, zs, _, out_aux, single = cache
-        dz = self._output_delta(out_aux, grad_output, single)
+        input, in its dtype, and zero on masked-out inputs; no weight
+        products are formed."""
+        layers, zs, acts, out_aux, single = cache
+        dz = self._output_delta(out_aux, grad_output, single, acts[0].dtype)
         for i in range(len(layers) - 1, -1, -1):
             da = dz @ layers[i][2].T
             if i:
                 dz = da * (zs[i - 1] > 0)
         idx = layers[0][0]
         if not isinstance(idx, slice):      # zero on the masked-out inputs
-            dx = np.zeros((da.shape[0], self.spec.u))
+            dx = np.zeros((da.shape[0], self.spec.u), dtype=da.dtype)
             dx[:, idx] = da
             da = dx
         return da[0] if single else da

@@ -73,6 +73,28 @@ def test_buffer_sampling_without_replacement():
         buf.sample(33, np.random.default_rng(0))
 
 
+def test_buffer_sample_refills_kept_arrays():
+    # each batch size has one set of float64 arrays that every sample
+    # refills, with the values of fresh float64 copies of the drawn rows
+    buf = ReplayBuffer(50, 3, 2)
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        buf.add(rng.normal(size=3), rng.normal(size=2), rng.normal(),
+                rng.normal(size=3), float(rng.uniform() < 0.3))
+    draw, redraw = np.random.default_rng(2), np.random.default_rng(2)
+    columns = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)
+    first = buf.sample(16, draw)
+    for _ in range(2):
+        batch = buf.sample(16, draw) if _ else first
+        idx = redraw.choice(buf.size, size=16, replace=False)
+        assert all(b is f for b, f in zip(batch, first))
+        for b, c in zip(batch, columns):
+            assert b.dtype == np.float64
+            assert b.tobytes() == c[idx].astype(np.float64).tobytes()
+    assert buf.sample(8, draw)[0].shape == (8, 3)
+    assert buf.sample(16, draw)[0] is first[0]
+
+
 def test_buffer_stores_float32():
     buf = ReplayBuffer(2, 1, 1)
     buf.add([math.pi], [math.e], math.tau, [1.0 / 3.0], 1.0)

@@ -875,23 +875,23 @@ def test_pipeline_report_idempotent(mini_c):
 # that rounds the networks' matrix products differently changes them.
 PIPELINE_DIGESTS = {
     "C": {
-        "aux_actor.bin": "909e92439e82799e",
-        "aux_critic1.bin": "bc5cdec3c5d3374b",
-        "aux_critic2.bin": "4cf41fb6d087601c",
-        "aux_episodes.csv": "a0589e5cfb46e611",
-        "aux_eval.csv": "b76882151f9f98f5",
-        "aux_updates.csv": "ce19db628bf951db",
-        "eval_episodes.csv": "de440a086335deac",
-        "eval_rmse.csv": "c2d13b470b1f7ec3",
+        "aux_actor.bin": "1ce58601461bb5fc",
+        "aux_critic1.bin": "efeb2f38b1739264",
+        "aux_critic2.bin": "cc34e4869c023c85",
+        "aux_episodes.csv": "7cc5faade2777f49",
+        "aux_eval.csv": "d328364d541e06a3",
+        "aux_updates.csv": "55e6238484baf7b0",
+        "eval_episodes.csv": "346ebfd57a9aaf6a",
+        "eval_rmse.csv": "03e0fc6b05516112",
         "eval_success.csv": "db350ff8b31b9891",
         "gate.txt": "34a043e1a6d196a8",
-        "nav_train.csv": "600ee37401077306",
-        "nav_weights.bin": "29b8dfc04fc44d1e",
-        "report_depth_bins.csv": "ac75ba731600867d",
-        "report_heatmap.csv": "1aa53a986a2821c5",
-        "report_rmse.csv": "c2d13b470b1f7ec3",
+        "nav_train.csv": "839ea6f17cfe6773",
+        "nav_weights.bin": "26302ff6f092eb99",
+        "report_depth_bins.csv": "3c9a74d3cc406431",
+        "report_heatmap.csv": "2f29c3e6552f1dd3",
+        "report_rmse.csv": "03e0fc6b05516112",
         "report_success.csv": "db350ff8b31b9891",
-        "report_summary.csv": "11896bb737972da2",
+        "report_summary.csv": "953277786db01f99",
         "test_data.bin": "86d675474589b319",
         "test_paths.txt": "41804420f91fe51e",
         "train_data.bin": "9a53c3817eb2f8cb",
@@ -901,21 +901,21 @@ PIPELINE_DIGESTS = {
         "world.txt": "8f5a27d7437144ca",
     },
     "S": {
-        "aux_actor.bin": "c7975dbdc1816498",
-        "aux_critic1.bin": "74bd884c4ec9a8ce",
-        "aux_critic2.bin": "7e7efad5da73c3b9",
-        "aux_episodes.csv": "ce462cb841021a93",
+        "aux_actor.bin": "14fdaec171f88967",
+        "aux_critic1.bin": "24f6a7021fda1efc",
+        "aux_critic2.bin": "b0efc00bf6c64765",
+        "aux_episodes.csv": "16947a14e5a8be07",
         "aux_eval.csv": "d14c9978728be125",
-        "aux_updates.csv": "00810cf1316494e4",
-        "eval_episodes.csv": "9f987dbccebf7222",
-        "eval_rmse.csv": "703b026fb51bcb93",
+        "aux_updates.csv": "20643ee47c6dfad9",
+        "eval_episodes.csv": "aae2dbea56155fae",
+        "eval_rmse.csv": "696297f04e8c1d65",
         "eval_success.csv": "da45e95dd9212ab3",
         "gate.txt": "3b6b72656f9e64f9",
-        "nav_train.csv": "29055d678f190680",
-        "nav_weights.bin": "d88bc958d2d4665b",
+        "nav_train.csv": "eab2aaa7c6fb67c3",
+        "nav_weights.bin": "4d0540e422587be1",
         "report_depth_bins.csv": "7f2a2b3fed985fff",
         "report_heatmap.csv": "6967d106d9152c71",
-        "report_rmse.csv": "703b026fb51bcb93",
+        "report_rmse.csv": "696297f04e8c1d65",
         "report_success.csv": "da45e95dd9212ab3",
         "report_summary.csv": "f811b4c53fafb383",
         "test_data.bin": "c5034207a87b11d9",
@@ -988,6 +988,17 @@ def test_actor_of_another_shape_is_refused(tmp_path, monkeypatch, capsys,
         assert "Traceback" not in err
 
 
+def _write_test_data(cfg, n: int, seed: int = 0) -> pathoracle.LabeledDataset:
+    """n uniform FIFOs as the oracle's test data of `cfg`, read back."""
+    x = np.random.default_rng(seed).uniform(
+        0.0, 1.0, size=(n, cfg.sensor.fifo_depth * worldsim.OBS_WIDTH))
+    path = os.path.join(cfg.out_dir, DATA_FILES["test"])
+    pathoracle.save_dataset(pathoracle.LabeledDataset(x, np.zeros((n, 3)),
+                                                      cfg.sensor.fifo_depth),
+                            path, cfg.config_hash())
+    return pathoracle.load_dataset(path)[0]
+
+
 def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
     # without a trained actor, bench builds a mode-S actor and times the
     # input-masked sub-network of each power pair it emits, through blocks
@@ -1003,6 +1014,7 @@ def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
     cfg = load_config(None, [f"out_dir={tmp_path}", "mode=S",
                              "bench.sizes=[[8]]", "bench.n_observations=30",
                              "bench.repeats=1"])
+    _write_test_data(cfg, 30)
     aux = cli._bench_actor(cfg)
     assert aux.spec.v == 2
     assert (aux.spec.output_low, aux.spec.output_high) == (worldsim.MIN_POWER,
@@ -1018,6 +1030,39 @@ def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
     assert len({m.active_inputs.tobytes() for m in held}) == len(held)
     _, rows = read_csv(os.path.join(cfg.out_dir, BENCH_FILE), cfg.config_hash())
     assert float(rows[0][3]) == 1.0     # mode S never slims
+
+
+def test_bench_times_the_first_test_fifos(tmp_path, monkeypatch, capsys):
+    # the actor decodes its actions from the oracle's test FIFOs, the first
+    # bench.n_observations of them; without that file, or with an empty
+    # one, bench exits 3
+    cfg = load_config(None, [f"out_dir={tmp_path}", "bench.sizes=[[8]]",
+                             "bench.n_observations=12", "bench.repeats=1"])
+    args = ["bench", "--set", f"out_dir={tmp_path}", "--set", "bench.sizes=[[8]]",
+            "--set", "bench.n_observations=12", "--set", "bench.repeats=1"]
+    assert _entry_code(monkeypatch, args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dependency error") and DATA_FILES["test"] in err
+    test = _write_test_data(cfg, 20)
+    seen = []
+    bench_actor = cli._bench_actor
+
+    def actor(cfg):
+        net = bench_actor(cfg)
+        forward = net.forward
+
+        def spy(x, *args, **kwargs):
+            seen.append(np.array(x))
+            return forward(x, *args, **kwargs)
+        net.forward = spy
+        return net
+
+    monkeypatch.setattr(cli, "_bench_actor", actor)
+    assert cli.cmd_bench(cfg) == 0
+    assert np.array_equal(np.array(seen[:12]), test.fifo_vectors[:12])
+    _write_test_data(cfg, 0)
+    assert _entry_code(monkeypatch, args) == 3
+    assert "holds no observations" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["C", "S"])

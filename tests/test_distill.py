@@ -166,6 +166,35 @@ def test_distilled_beats_control_at_low_rho(toy):
     assert rmse_on_dataset(control, test) < 2 * rmse_on_dataset(distilled, test)
 
 
+@pytest.mark.parametrize("mode", ["C", "S"])
+def test_passes_run_in_float32_and_validation_in_float64(mode, monkeypatch):
+    # train_navigation hands the sandwich float32 minibatches and targets,
+    # cut from the float64 dataset one batch at a time, and validates in float64
+    layout = ObservationLayout(1)
+    train = toy_dataset(40, layout.depth * OBS_WIDTH, 3)
+    val = toy_dataset(10, layout.depth * OBS_WIDTH, 4)
+    batches, plain = [], []
+    sandwich, forward = distill._sandwich, SlimmableMLP.forward
+
+    def sandwich_spy(net, x, targets, masks):
+        batches.append((x.dtype, targets.dtype, len(x)))
+        return sandwich(net, x, targets, masks)
+
+    def forward_spy(net, x, mask=None, return_cache=False):
+        if not return_cache:
+            plain.append(np.asarray(x).dtype)
+        return forward(net, x, mask, return_cache)
+
+    monkeypatch.setattr(distill, "_sandwich", sandwich_spy)
+    monkeypatch.setattr(SlimmableMLP, "forward", forward_spy)
+    cfg = DistillConfig(max_epochs=2, patience=2, batch_size=16)
+    train_navigation(train, val, MLPSpec(u=train.fifo_vectors.shape[1], q=(8,), v=3),
+                     cfg, mode=mode, layout=layout)
+    assert batches == [(np.float32, np.float32, n) for n in (16, 16, 8)] * 2
+    assert plain == [np.float64] * 2
+    assert train.fifo_vectors.dtype == np.float64
+
+
 def test_training_in_sensing_mode(toy):
     layout = ObservationLayout(1)
     train = toy_dataset(400, layout.depth * OBS_WIDTH, 10)

@@ -420,6 +420,103 @@ def test_input_grad_matches_reference_with_zero_masked_columns():
                     assert masked.tobytes() == bytes(masked.nbytes)
 
 
+# --- float32 passes ---
+
+def _assert_float32_matches_truncated(net, mask, rng):
+    """A float32 forward, through the mask and through held blocks, byte-equal
+    to the truncated copy's float32 forward at batch 1 and at batch 64."""
+    sub = net.truncated(mask)
+    held = net.hold(mask)
+    for x in (rng.uniform(0.0, 1.0, size=net.spec.u),
+              rng.uniform(0.0, 1.0, size=(64, net.spec.u))):
+        x = x.astype(np.float32)
+        y = net.forward(x, mask)
+        assert y.dtype == np.float32
+        assert y.tobytes() == sub.forward(x[..., mask.active_inputs]).tobytes()
+        assert net.forward(x, held).tobytes() == y.tobytes()
+
+
+def test_float32_masked_equals_truncated_at_every_width():
+    net = _random_net(NAV_SPEC, 53)
+    rng = np.random.default_rng(54)
+    for h in range(active_width(0.25, 128), 129):
+        _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, h / 128), rng)
+
+
+def test_float32_masked_equals_truncated_at_every_power_mask():
+    net = _random_net(NAV_SPEC, 55)
+    layout = ObservationLayout(4)
+    rng = np.random.default_rng(56)
+    for p_f in FORWARD_LEVELS:
+        for p_d in DOWNWARD_LEVELS:
+            keep = layout.input_mask(p_f, p_d)
+            _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 1.0, keep), rng)
+            _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 0.5, keep), rng)
+
+
+def _close(got, want, tol):
+    """Within tol of the largest magnitude of `want`: a float32 rounding
+    bound for products that sum hundreds of terms."""
+    return np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_float32_gradients_match_float64_within_float32_rounding():
+    # the same float32-valued batch run both ways: float32 outputs, input
+    # gradients and parameter gradients (stored float64) agree with the
+    # float64 ones to float32 precision, and severed blocks stay exactly zero
+    rng = np.random.default_rng(57)
+    layout = ObservationLayout(4)
+    actor = _random_net(MLPSpec(u=4 * OBS_WIDTH, q=(32, 32), v=2,
+                                output_activation="bounded",
+                                output_low=(1.0, 0.0), output_high=(3.0, 3.0)), 58)
+    nav = _random_net(NAV_SPEC, 59)
+    for net, mask in ((nav, None), (nav, SlimMask(NAV_SPEC, 0.25)),
+                      (nav, SlimMask(NAV_SPEC, 0.5, layout.input_mask(2, 1))),
+                      (actor, None)):
+        x = rng.uniform(0.0, 1.0, size=(64, net.spec.u)).astype(np.float32)
+        g = rng.normal(size=(64, net.spec.v)).astype(np.float32)
+        y32, c32 = net.forward(x, mask, return_cache=True)
+        y64, c64 = net.forward(x.astype(np.float64), mask, return_cache=True)
+        assert (y32.dtype, y64.dtype) == (np.float32, np.float64)
+        assert _close(y32, y64, 1e-5)
+        dx32, dx64 = net.input_grad(c32, g), net.input_grad(c64, g)
+        assert dx32.dtype == np.float32 and _close(dx32, dx64, 1e-5)
+        gr32, gr64 = net.backward(c32, g), net.backward(c64, g)
+        assert gr32.params.dtype == np.float64 and _close(gr32.params, gr64.params, 1e-5)
+        if mask is not None:
+            h = mask.active_hidden[0]
+            assert not gr32.weights[0][:, h:].any() and not gr32.biases[0][h:].any()
+            assert not dx32[:, ~mask.active_inputs].any()
+
+
+# --- the full-width forward ---
+
+def test_full_width_forward_reads_params_after_every_update():
+    # a full-width float64 forward reads views of params; an Adam step, a
+    # Polyak average and a snapshot restore all write params in place, and
+    # each forward after them equals a freshly sliced one
+    agent = TD3Agent(5, [0.0, -1.0], [1.0, 1.0], TD3Config(tau=0.3),
+                     actor_hidden=(6,), critic_hidden=(7,), seed=8)
+    net, target = agent.actor, agent.actor_target
+    x = np.random.default_rng(9).normal(size=(4, 5))
+
+    def assert_fresh(n):
+        y = n.forward(x)
+        assert y.tobytes() == n.forward(x, SlimMask(n.spec)).tobytes()
+        assert y.tobytes() == reference_forward(n, x).tobytes()
+        return y.tobytes()
+
+    snapshot = net.params.copy()
+    before = assert_fresh(net), assert_fresh(target)
+    _, cache = net.forward(x, return_cache=True)
+    Adam(net, lr=1e-2).step(net.backward(cache, np.ones((4, 2))))
+    assert assert_fresh(net) != before[0]
+    agent._polyak()
+    assert assert_fresh(target) != before[1]
+    net.params[:] = snapshot
+    assert assert_fresh(net) == before[0]
+
+
 # --- optimizers ---
 
 def test_adam_step_deterministic_and_f32_canonical():
@@ -552,8 +649,8 @@ def test_copy():
 # to how parameters are stored, optimized or averaged must keep them. They
 # hold for this numpy/OpenBLAS build, whose matmul summation order they fix.
 PINNED_WEIGHT_SHA256 = {
-    "nav_C": "bf5af62a38252d87619e8b6038e30578574eebe505dd123ac5ef7c40fc35877b",
-    "nav_S": "b7611135b60df83fc4f687faece07568f9010f3d267530db2ebf28b19cd56be1",
+    "nav_C": "998c31be48b27dcd4fab2371c3542ab11dc9d4be63cea9510d61177a45ad5268",
+    "nav_S": "d6bb155e6c0335f971c5dcf4e5d38653ae7ae49cdb03226e98e06ff258b5e70c",
     "actor": "31fe154a543020919d74ed5f683d717ebb1d340c28278cedde8eb2ab40c88a50",
     "actor_target": "d625c9edc3958e7a6bfdb1a204e650943680a30f9b441b980c5ea8ba2a83eb6d",
     "critic1": "2f11ec5226bc07222ac879ab6b5b76f6ae20bab462027e409253b1b7e68df6c4",
