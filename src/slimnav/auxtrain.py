@@ -101,10 +101,11 @@ class ReplayBuffer:
         distinct transitions, as float64. The arrays are kept per batch size
         and refilled in place, so the next `sample` of that size overwrites
         a returned batch: a caller that keeps one past that copies it. Fresh
-        arrays faulted in about 236 new pages on every call of a default TD3
-        batch (128 x 428 inputs) and took 0.36-0.50 ms of it, against 0.09 ms
-        now; the kept ones hold 0.9 MB for the life of the buffer, which adds
-        about 1 MB (2%) to the learn benchmark's peak RSS."""
+        arrays freed between calls can fault in about 236 new pages per
+        default TD3 batch (128 x 428 inputs), 0.36-0.50 ms against 0.09 ms,
+        depending on the allocator's state; kept ones never do. They hold
+        0.9 MB for the life of the buffer, which adds about 1 MB (2%) to the
+        learn benchmark's peak RSS."""
         if batch_size > self.size:
             raise ValueError(f"batch {batch_size} exceeds buffer size {self.size}")
         idx = rng.choice(self.size, size=batch_size, replace=False)

@@ -226,8 +226,8 @@ class SlimmableMLP:
 
     def hold(self, mask: SlimMask) -> SlimMask:
         """A copy of `mask` that carries this network's active blocks as
-        they are now, so forwards of this network through the copy skip
-        slicing them. Only for a network whose parameters do not change
+        they are now, so float64 forwards of this network through the copy
+        skip slicing them. Only for a network whose parameters do not change
         while the copy lives: `run_episode` holds one per sub-network of its
         frozen navigator for one flight. Another network's forward through
         the copy slices afresh."""

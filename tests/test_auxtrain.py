@@ -83,14 +83,18 @@ def test_buffer_sample_refills_kept_arrays():
                 rng.normal(size=3), float(rng.uniform() < 0.3))
     draw, redraw = np.random.default_rng(2), np.random.default_rng(2)
     columns = (buf.states, buf.actions, buf.rewards, buf.next_states, buf.dones)
-    first = buf.sample(16, draw)
-    for _ in range(2):
-        batch = buf.sample(16, draw) if _ else first
+
+    def check(batch):
         idx = redraw.choice(buf.size, size=16, replace=False)
-        assert all(b is f for b, f in zip(batch, first))
         for b, c in zip(batch, columns):
             assert b.dtype == np.float64
             assert b.tobytes() == c[idx].astype(np.float64).tobytes()
+
+    first = buf.sample(16, draw)
+    check(first)
+    second = buf.sample(16, draw)
+    check(second)
+    assert all(s is f for s, f in zip(second, first))
     assert buf.sample(8, draw)[0].shape == (8, 3)
     assert buf.sample(16, draw)[0] is first[0]
 

@@ -454,10 +454,10 @@ def test_float32_masked_equals_truncated_at_every_power_mask():
             _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 0.5, keep), rng)
 
 
-def _close(got, want, tol):
-    """Within tol of the largest magnitude of `want`: a float32 rounding
-    bound for products that sum hundreds of terms."""
-    return np.abs(got - want).max() <= tol * np.abs(want).max()
+def _close(got, want):
+    """Within 100 float32 epsilons of the largest magnitude of `want`: a
+    rounding bound for float32 products that sum hundreds of terms."""
+    return np.abs(got - want).max() <= 100 * np.finfo(np.float32).eps * np.abs(want).max()
 
 
 def test_float32_gradients_match_float64_within_float32_rounding():
@@ -478,11 +478,11 @@ def test_float32_gradients_match_float64_within_float32_rounding():
         y32, c32 = net.forward(x, mask, return_cache=True)
         y64, c64 = net.forward(x.astype(np.float64), mask, return_cache=True)
         assert (y32.dtype, y64.dtype) == (np.float32, np.float64)
-        assert _close(y32, y64, 1e-5)
+        assert _close(y32, y64)
         dx32, dx64 = net.input_grad(c32, g), net.input_grad(c64, g)
-        assert dx32.dtype == np.float32 and _close(dx32, dx64, 1e-5)
+        assert dx32.dtype == np.float32 and _close(dx32, dx64)
         gr32, gr64 = net.backward(c32, g), net.backward(c64, g)
-        assert gr32.params.dtype == np.float64 and _close(gr32.params, gr64.params, 1e-5)
+        assert gr32.params.dtype == np.float64 and _close(gr32.params, gr64.params)
         if mask is not None:
             h = mask.active_hidden[0]
             assert not gr32.weights[0][:, h:].any() and not gr32.biases[0][h:].any()
