@@ -359,14 +359,14 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
     What a step costs: one `worldsim.sense` (one `cast_rays` call over the
     sensed pair's rays), two batch-1 forwards (policy and navigator) and
     one `worldsim.step`. What an episode reuses: the sensor and input mask
-    of a power pair while the pair holds, and one (SlimMask, active
-    parameter count) pair per (active widths, sensed pair). That is at most
-    one per distinct width in mode C and one per power pair in mode S; rho
-    is checked (`slimnet.active_widths`) before a mask is reused. It also
-    keeps the navigator's contiguous weight blocks (`SlimmableMLP.hold`)
-    of up to HELD_SUBNETS keys, dropping the longest held first: the
-    navigator is frozen during the flight, so a held key's forwards run on
-    blocks copied once. Nothing outlives the episode: the blocks go with it.
+    of a power pair while the pair holds, and one table of at most
+    HELD_SUBNETS sub-networks keyed by (active widths, sensed pair), each a
+    mask holding the navigator's contiguous weight blocks
+    (`SlimmableMLP.hold`) and its active parameter count. The navigator is
+    frozen during the flight, so a held key's forwards run on blocks copied
+    once. A miss drops the oldest entry of a full table, then builds, holds
+    and counts its key afresh; rho is checked (`slimnet.active_widths`)
+    before the lookup. Nothing outlives the episode: the blocks go with it.
 
     `policy` maps the flattened FIFO to the raw continuous action; without
     it the aux network acts, and without that the full action
@@ -382,8 +382,9 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
                     max_step)
     powers = MAX_POWER
     sensed = None
-    masks = {}   # (active widths, sensed pair) -> (SlimMask, active params)
-    held = {}    # up to HELD_SUBNETS of those keys -> SlimMask holding blocks
+    # up to HELD_SUBNETS (active widths, sensed pair) keys -> (SlimMask
+    # holding the navigator's blocks, active params), oldest first
+    subnets = {}
 
     steps_log: list[EpisodeStep] = []
     pending = None
@@ -401,17 +402,15 @@ def run_episode(grid, nav: SlimmableMLP, aux: SlimmableMLP | None = None,
         action = np.asarray(policy(x), dtype=float)
         rho, powers = decode_action(mode, action, low, high)
         key = (active_widths(nav.spec, rho), sensed)
-        if key not in masks:
-            masks[key] = (SlimMask(nav.spec, rho, in_mask),
-                          active_params(nav.spec, rho, in_mask)[0])
-        mask, m_act = masks[key]
-        if key not in held:
-            if len(held) == HELD_SUBNETS:
-                del held[next(iter(held))]      # the oldest blocks go first
-            held[key] = nav.hold(mask)
+        if key not in subnets:
+            if len(subnets) == HELD_SUBNETS:
+                del subnets[next(iter(subnets))]
+            subnets[key] = (nav.hold(SlimMask(nav.spec, rho, in_mask)),
+                            active_params(nav.spec, rho, in_mask)[0])
+        mask, m_act = subnets[key]
 
         prev_dist = flight.state.goal_distance()
-        state = flight.move(nav.forward(x, held[key]))
+        state = flight.move(nav.forward(x, mask))
         d = prev_dist - state.goal_distance()
         r = reward(d, state.terminal, rho, powers[0], powers[1], w)
         mean_f, mean_d = mean_depths(x[:OBS_WIDTH], sensor)

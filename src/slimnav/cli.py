@@ -58,7 +58,8 @@ from .auxtrain import (TIMEOUT, AuxConfig, ConstraintConfig, Curriculum,
 from .errors import (ConfigError, ConstraintViolation, DependencyError,
                      LoadError, Range, TrainingError, check_ranges)
 from .pathoracle import TaskSampler, build_graph, partition_regions, region_edges
-from .slimnet import MLPSpec, SlimMask, SlimmableMLP, load_weights, save_weights
+from .slimnet import (MLPSpec, SlimMask, SlimmableMLP, active_widths, load_weights,
+                      save_weights)
 from .worldsim import (COLLIDED, OBS_WIDTH, REACHED, SensorConfig, VoxelGrid,
                        check_dims)
 
@@ -816,9 +817,9 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     (v - u) / v. The adapted step runs the actor, then the navigator
     through the sub-network of the (rho, power pair) its action decodes to
     (`decode_action`): slimmed to rho and fed only the inputs of the pair,
-    gathered inside the timed step. Each distinct sub-network's blocks are
-    held once (`SlimmableMLP.hold`), as a flight holds them for its
-    episode."""
+    gathered inside the timed step. Each distinct sub-network, keyed by
+    (active widths, power pair) as a flight keys it, has its mask built and
+    its blocks held once (`SlimmableMLP.hold`)."""
     write_config_copy(cfg)
     b = cfg.bench
     chash = cfg.config_hash()
@@ -839,10 +840,10 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
         held = {}
         steps = []
         for rho, pair in actions:
-            mask = SlimMask(spec, rho, layout.input_mask(*pair))
-            if (mask.active_hidden, pair) not in held:
-                held[mask.active_hidden, pair] = nav.hold(mask)
-            steps.append(held[mask.active_hidden, pair])
+            key = (active_widths(spec, rho), pair)
+            if key not in held:
+                held[key] = nav.hold(SlimMask(spec, rho, layout.input_mask(*pair)))
+            steps.append(held[key])
         t_full = []
         t_slim = []
         for _ in range(b.repeats):

@@ -461,7 +461,7 @@ def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
         flight = worldsim.Flight(grid, grid.center_of(task.spawn),
                                  grid.center_of(task.goal), depth,
                                  graph.vertical_locked, goal_radius, max_step)
-        budget = max_steps or max(60, int(5 * task.distance(res)))
+        budget = max(60, int(5 * task.distance(res))) if max_steps is None else max_steps
         for _ in range(budget):
             x = flight.observe(sensor)
             pos = flight.state.position

@@ -2,13 +2,14 @@
 
 A network holds full-size weight matrices; a SlimMask selects, per forward
 pass, a prefix of each hidden layer (the first roof(rho * q_i) nodes) and an
-arbitrary subset of input nodes. The masked pass computes on the physically
-sliced sub-matrices, so it is bit-identical to running an explicitly
-truncated copy of the network. A forward copies its active blocks on every
-call, so it always reads the current parameters; a flight, whose navigator
-is frozen, copies each sub-network's blocks once and holds them in its masks
-(`SlimmableMLP.hold`). A full-width float64 forward copies nothing: its
-blocks are views of the parameters.
+arbitrary subset of input nodes, and carries only those widths and input
+indices. The masked pass computes on the physically sliced sub-matrices, so
+it is bit-identical to running an explicitly truncated copy of the network.
+A forward copies its active blocks on every call, so it always reads the
+current parameters; a flight, whose navigator is frozen, copies each
+sub-network's blocks once and holds them in its masks (`SlimmableMLP.hold`).
+A full-width float64 forward copies nothing: its blocks are views of the
+parameters.
 
 A pass computes in the dtype of its input: a float32 batch runs float32
 blocks, activations and deltas (distillation's passes), any other input
@@ -41,7 +42,6 @@ from .errors import ConfigError, LoadError, TrainingError
 
 WEIGHTS_MAGIC = "NAVISLIM-W v1"
 
-_ACTIVATIONS = ("relu",)
 _OUTPUTS = ("identity", "tanh", "bounded")
 
 
@@ -61,7 +61,6 @@ class MLPSpec:
     u: int
     q: tuple[int, ...]
     v: int
-    hidden_activation: str = "relu"
     output_activation: str = "identity"
     output_scale: float = 1.0
     output_low: tuple[float, ...] | None = None
@@ -74,8 +73,6 @@ class MLPSpec:
             raise ConfigError(f"invalid layer widths u={self.u!r} q={q!r} v={self.v!r}: "
                               f"need positive integers")
         object.__setattr__(self, "q", tuple(int(x) for x in q))
-        if self.hidden_activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in _OUTPUTS:
             raise ConfigError(f"unknown output activation {self.output_activation!r}")
         if not math.isfinite(self.output_scale):
@@ -138,8 +135,9 @@ def _checked_inputs(spec: MLPSpec, active_inputs) -> tuple[np.ndarray | None, in
 
 
 class SlimMask:
-    """Active sub-network selection: slimming factor rho (prefix of each
-    hidden layer) plus a boolean input mask."""
+    """Active sub-network selection at slimming factor rho and a boolean
+    input mask (None: every input), kept as what a pass reads: the active
+    width of each hidden layer and the indices of the active inputs."""
 
     # (network, its active layers) on a mask made by SlimmableMLP.hold; a
     # plain mask holds no blocks, so every forward through it slices afresh
@@ -148,10 +146,6 @@ class SlimMask:
     def __init__(self, spec: MLPSpec, rho: float = 1.0, active_inputs=None):
         self.active_hidden = active_widths(spec, rho)
         active_inputs, n = _checked_inputs(spec, active_inputs)
-        self.rho = float(rho)
-        if active_inputs is None:
-            active_inputs = np.ones(spec.u, dtype=bool)
-        self.active_inputs = active_inputs
         # None means "all active": lets the forward pass take slice views
         self.input_index = None if n == spec.u else np.flatnonzero(active_inputs)
 
@@ -449,7 +443,7 @@ def save_weights(net: SlimmableMLP, path, config_hash: str = "") -> None:
     spec = net.spec
     head = {
         "u": spec.u, "q": list(spec.q), "v": spec.v,
-        "hidden": spec.hidden_activation, "output": spec.output_activation,
+        "hidden": "relu", "output": spec.output_activation,
         "scale": spec.output_scale,
         "low": list(spec.output_low) if spec.output_low else None,
         "high": list(spec.output_high) if spec.output_high else None,
@@ -470,14 +464,15 @@ def load_weights(path) -> tuple[SlimmableMLP, str]:
             raise LoadError(f"{path}: bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
         try:
             head = json.loads(f.readline().decode())
+            if head["hidden"] != "relu":     # the only hidden activation
+                raise ValueError(f"unknown hidden activation {head['hidden']!r}")
             spec = MLPSpec(u=head["u"], q=tuple(head["q"]), v=head["v"],
-                           hidden_activation=head["hidden"],
                            output_activation=head["output"],
                            output_scale=head["scale"],
                            output_low=tuple(head["low"]) if head["low"] else None,
                            output_high=tuple(head["high"]) if head["high"] else None)
             seed = head.get("seed", 0)
-        # ValueError covers bad JSON, non-UTF-8 bytes and MLPSpec's ConfigError
+        # ValueError covers bad JSON, non-UTF-8 bytes and every spec check
         except (ValueError, KeyError, TypeError) as e:
             raise LoadError(f"{path}: bad spec header: {e}") from e
         if isinstance(seed, bool) or not isinstance(seed, int):

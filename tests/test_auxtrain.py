@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from slimnav import auxtrain, pathoracle, worldsim
@@ -15,7 +17,8 @@ from slimnav.auxtrain import (AuxConfig, Curriculum, EpisodeLog, EpisodeStep,
                               length_ratio, reward, run_episode, success_rate,
                               train_auxiliary, ConstraintConfig)
 from slimnav.errors import ConfigError
-from slimnav.slimnet import MLPSpec, SlimMask, SlimmableMLP, active_params
+from slimnav.slimnet import (MLPSpec, SlimMask, SlimmableMLP, active_params,
+                             active_widths)
 from slimnav.worldsim import (ACTIVE, COLLIDED, MAX_POWER, MIN_POWER,
                               OBS_WIDTH, REACHED, ObservationLayout)
 
@@ -280,20 +283,46 @@ def test_run_episode_policy_min_rho_clipped(small_world):
         assert s.m_active == active_params(nav.spec, 0.25)[0]
 
 
-def test_run_episode_builds_one_mask_per_width_and_pair(small_world, monkeypatch):
+def _fifo_misses(keys, size):
+    """Lookups of `keys` that miss a first-in-first-out table of `size`."""
+    table, misses = [], 0
+    for key in keys:
+        if key not in table:
+            misses += 1
+            if len(table) == size:
+                table.pop(0)
+            table.append(key)
+    return misses
+
+
+# rhos of shared and distinct widths of (16, 8): 0.49 and 0.5 give (8, 4);
+# power actions that round to shared and distinct pairs
+_RHO_ACTIONS = [[0.25], [0.49], [0.5], [0.55], [0.9], [1.0]]
+_POWER_ACTIONS = [[1.0, 0.0], [1.4, 0.2], [3.0, 3.0], [2.0, 2.0], [2.4, 7.0], [3.0, 1.0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["C", "S"]), picks=st.lists(st.integers(0, 5), max_size=12))
+def test_run_episode_builds_one_mask_per_width_and_pair(small_world, mode, picks):
+    # one table of HELD_SUBNETS (active widths, sensed pair) keys: each miss
+    # builds one mask and copies its blocks once, each hit does neither
     grid, nav = small_world
-    built = []
-    monkeypatch.setattr(auxtrain, "SlimMask",
-                        lambda *a: built.append(a[1]) or SlimMask(*a))
-    rhos = iter([0.5, 1.0, 0.5, 0.49, 1.0, 0.55, 0.5, 1.0])
-    log = run_episode(grid, nav, mode="C", spawn=[3.5, 3.5, 3.5],
-                      goal=[16.5, 16.5, 3.5], policy=lambda x: [next(rhos)],
-                      max_steps=8)
-    assert log.path_steps == 8
-    # 0.49 gives 0.5's widths (8, 4) of (16, 8); 0.55 gives (9, 5)
-    assert built == [0.5, 1.0, 0.55]
+    actions = iter([(_RHO_ACTIONS if mode == "C" else _POWER_ACTIONS)[i] for i in picks])
+    built, sliced = [], []
+    original = SlimmableMLP._active_layers
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(auxtrain, "SlimMask", lambda *a: built.append(a) or SlimMask(*a))
+        mp.setattr(SlimmableMLP, "_active_layers",
+                   lambda net, mask: sliced.append(net) or original(net, mask))
+        log = run_episode(grid, nav, mode=mode, spawn=[3.5, 3.5, 3.5],
+                          goal=[16.5, 16.5, 3.5], policy=lambda x: next(actions),
+                          max_steps=len(picks))
+    layout = ObservationLayout(4)
+    keys = [(active_widths(nav.spec, s.rho), (s.p_f, s.p_d)) for s in log.steps]
+    assert len(built) == len(sliced) == _fifo_misses(keys, auxtrain.HELD_SUBNETS)
+    assert all(net is nav for net in sliced)
     for s in log.steps:
-        assert s.m_active == active_params(nav.spec, s.rho)[0]
+        assert s.m_active == active_params(nav.spec, s.rho, layout.input_mask(s.p_f, s.p_d))[0]
 
 
 @pytest.mark.parametrize("mode,actions,slices", [

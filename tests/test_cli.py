@@ -1021,15 +1021,43 @@ def test_bench_mode_s_times_power_masked_subnetworks(tmp_path, monkeypatch):
                                                            worldsim.MAX_POWER)
     assert cli.cmd_bench(cfg) == 0
     layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
-    masks = {(p_f, p_d): layout.input_mask(p_f, p_d).tobytes()
-             for p_f in worldsim.FORWARD_LEVELS
-             for p_d in worldsim.DOWNWARD_LEVELS}
+    inputs = {np.flatnonzero(layout.input_mask(p_f, p_d)).tobytes()
+              for p_f in worldsim.FORWARD_LEVELS
+              for p_d in worldsim.DOWNWARD_LEVELS}
+    index = [np.arange(cfg.nav_spec().u) if m.input_index is None else m.input_index
+             for m in held]
     assert held and all(m.active_hidden == (8,) for m in held)
-    assert all(m.active_inputs.tobytes() in masks.values() for m in held)
+    assert all(i.tobytes() in inputs for i in index)
     assert any(m.input_index is not None for m in held)
-    assert len({m.active_inputs.tobytes() for m in held}) == len(held)
+    assert len({i.tobytes() for i in index}) == len(held)
     _, rows = read_csv(os.path.join(cfg.out_dir, BENCH_FILE), cfg.config_hash())
     assert float(rows[0][3]) == 1.0     # mode S never slims
+
+
+@pytest.mark.parametrize("mode", ["C", "S"])
+def test_bench_builds_one_mask_per_subnetwork_and_size(tmp_path, monkeypatch, mode):
+    # bench keys its held masks by (active widths, power pair), as a flight
+    # keys them, and builds a mask only for a key it has not met at a size
+    built = []
+    monkeypatch.setattr(cli, "SlimMask",
+                        lambda *a: built.append(a) or slimnet.SlimMask(*a))
+    cfg = load_config(None, [f"out_dir={tmp_path}", f"mode={mode}",
+                             "bench.sizes=[[8], [16, 16]]",
+                             "bench.n_observations=30", "bench.repeats=1"])
+    test = _write_test_data(cfg, 30)
+    assert cli.cmd_bench(cfg) == 0
+    low, high = cli.action_bounds(mode, cfg.nav.rho_min)
+    aux = cli._bench_actor(cfg)
+    actions = [cli.decode_action(mode, aux.forward(x), low, high)
+               for x in test.fifo_vectors]
+    layout = worldsim.ObservationLayout(cfg.sensor.fifo_depth)
+    for size in cfg.bench.sizes:
+        spec = dataclasses.replace(cfg.nav_spec(), q=size)
+        want = {(slimnet.active_widths(spec, rho), pair) for rho, pair in actions}
+        got = [(slimnet.active_widths(s, rho), keep.tobytes())
+               for s, rho, keep in built if s.q == size]
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == {(w, layout.input_mask(*pair).tobytes()) for w, pair in want}
 
 
 def test_bench_times_the_first_test_fifos(tmp_path, monkeypatch, capsys):

@@ -586,6 +586,25 @@ def test_label_rollouts_budget_and_goal_voxel(world, flat_graph):
         label_rollouts(world, flat_graph, [t0], lazy_policy, depth=4)
 
 
+def test_label_rollouts_zero_budget_flies_no_steps(world, flat_graph):
+    # max_steps=0 is a budget of no steps, not the default budget
+    regions = partition_regions(world, (0.5, 0.25, 0.25))
+    sampler = TaskSampler(flat_graph, regions, flight_z=3)
+    task = sampler.sample("train", 8.0, np.random.default_rng(12))
+    calls = []
+
+    def lazy_policy(x):
+        calls.append(x)
+        return np.zeros(3)
+
+    with pytest.raises(ConfigError, match="no rollout states"):
+        label_rollouts(world, flat_graph, [task], lazy_policy, depth=4,
+                       max_steps=0)
+    assert calls == []
+    assert len(label_rollouts(world, flat_graph, [task], lazy_policy, depth=4,
+                              max_steps=None)) >= 60     # the default budget
+
+
 def test_merge_datasets_rejects_mismatch():
     a = LabeledDataset(fifo_vectors=np.zeros((2, 4 * OBS_WIDTH)),
                        targets=np.zeros((2, 3)), depth=4)

@@ -31,8 +31,6 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         MLPSpec(u=2, q=(), v=1)
     with pytest.raises(ConfigError):
-        MLPSpec(u=2, q=(4,), v=1, hidden_activation="gelu")
-    with pytest.raises(ConfigError):
         MLPSpec(u=2, q=(4,), v=1, output_activation="bounded")
     with pytest.raises(ConfigError):
         MLPSpec(u=2, q=(4,), v=2, output_activation="bounded",
@@ -146,11 +144,10 @@ def test_masked_forward_equals_truncated_many_configs():
     x = rng.normal(size=(4, spec.u))
     for rho in (0.15, 0.4, 0.8, 1.0):
         for powers in ((3, 3), (1, 0), (2, 1)):
-            m = SlimMask(spec, rho,
-                         active_inputs=layout.input_mask(*powers))
+            keep = layout.input_mask(*powers)
+            m = SlimMask(spec, rho, active_inputs=keep)
             sub = net.truncated(m)
-            assert np.array_equal(net.forward(x, m),
-                                  sub.forward(x[:, m.active_inputs]))
+            assert np.array_equal(net.forward(x, m), sub.forward(x[:, keep]))
 
 
 def test_severed_weights_do_not_affect_masked_output():
@@ -277,10 +274,11 @@ def _random_net(spec, seed):
     return net
 
 
-def _assert_matches_reference(net, mask, rng):
+def _assert_matches_reference(net, mask, rng, keep=None):
     """Outputs, parameter gradients and input gradients byte-equal to the
     reference passes at batch 1 (one vector) and at batch 64; the outputs
-    of the truncated copy and of forwards through held blocks too."""
+    of the truncated copy (fed the inputs `keep` selects, None: all) and of
+    forwards through held blocks too."""
     sub = net.truncated(mask)
     held = net.hold(mask)
     for x in (rng.uniform(0.0, 1.0, size=net.spec.u),
@@ -291,7 +289,7 @@ def _assert_matches_reference(net, mask, rng):
         assert y.tobytes() == y_ref.tobytes()
         assert net.forward(x, mask).tobytes() == y_ref.tobytes()
         assert net.forward(x, held).tobytes() == y_ref.tobytes()
-        assert sub.forward(x[..., mask.active_inputs]).tobytes() == y_ref.tobytes()
+        assert sub.forward(x if keep is None else x[..., keep]).tobytes() == y_ref.tobytes()
         grads = net.backward(cache, g)
         ref = reference_backward(net, cache_ref, g)
         assert grads.params.tobytes() == ref.params.tobytes()
@@ -314,8 +312,8 @@ def test_slicer_matches_reference_at_every_power_mask():
     for p_f in FORWARD_LEVELS:
         for p_d in DOWNWARD_LEVELS:
             keep = layout.input_mask(p_f, p_d)
-            _assert_matches_reference(net, SlimMask(NAV_SPEC, 1.0, keep), rng)
-            _assert_matches_reference(net, SlimMask(NAV_SPEC, 0.5, keep), rng)
+            _assert_matches_reference(net, SlimMask(NAV_SPEC, 1.0, keep), rng, keep)
+            _assert_matches_reference(net, SlimMask(NAV_SPEC, 0.5, keep), rng, keep)
 
 
 def test_slicer_matches_reference_for_td3_nets():
@@ -422,9 +420,10 @@ def test_input_grad_matches_reference_with_zero_masked_columns():
 
 # --- float32 passes ---
 
-def _assert_float32_matches_truncated(net, mask, rng):
+def _assert_float32_matches_truncated(net, mask, rng, keep=None):
     """A float32 forward, through the mask and through held blocks, byte-equal
-    to the truncated copy's float32 forward at batch 1 and at batch 64."""
+    to the truncated copy's float32 forward, fed the inputs `keep` selects
+    (None: all), at batch 1 and at batch 64."""
     sub = net.truncated(mask)
     held = net.hold(mask)
     for x in (rng.uniform(0.0, 1.0, size=net.spec.u),
@@ -432,7 +431,7 @@ def _assert_float32_matches_truncated(net, mask, rng):
         x = x.astype(np.float32)
         y = net.forward(x, mask)
         assert y.dtype == np.float32
-        assert y.tobytes() == sub.forward(x[..., mask.active_inputs]).tobytes()
+        assert y.tobytes() == sub.forward(x if keep is None else x[..., keep]).tobytes()
         assert net.forward(x, held).tobytes() == y.tobytes()
 
 
@@ -450,8 +449,8 @@ def test_float32_masked_equals_truncated_at_every_power_mask():
     for p_f in FORWARD_LEVELS:
         for p_d in DOWNWARD_LEVELS:
             keep = layout.input_mask(p_f, p_d)
-            _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 1.0, keep), rng)
-            _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 0.5, keep), rng)
+            _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 1.0, keep), rng, keep)
+            _assert_float32_matches_truncated(net, SlimMask(NAV_SPEC, 0.5, keep), rng, keep)
 
 
 def _close(got, want):
@@ -470,9 +469,9 @@ def test_float32_gradients_match_float64_within_float32_rounding():
                                 output_activation="bounded",
                                 output_low=(1.0, 0.0), output_high=(3.0, 3.0)), 58)
     nav = _random_net(NAV_SPEC, 59)
+    keep = layout.input_mask(2, 1)
     for net, mask in ((nav, None), (nav, SlimMask(NAV_SPEC, 0.25)),
-                      (nav, SlimMask(NAV_SPEC, 0.5, layout.input_mask(2, 1))),
-                      (actor, None)):
+                      (nav, SlimMask(NAV_SPEC, 0.5, keep)), (actor, None)):
         x = rng.uniform(0.0, 1.0, size=(64, net.spec.u)).astype(np.float32)
         g = rng.normal(size=(64, net.spec.v)).astype(np.float32)
         y32, c32 = net.forward(x, mask, return_cache=True)
@@ -486,7 +485,7 @@ def test_float32_gradients_match_float64_within_float32_rounding():
         if mask is not None:
             h = mask.active_hidden[0]
             assert not gr32.weights[0][:, h:].any() and not gr32.biases[0][h:].any()
-            assert not dx32[:, ~mask.active_inputs].any()
+            assert mask.input_index is None or not dx32[:, ~keep].any()
 
 
 # --- the full-width forward ---
@@ -621,6 +620,7 @@ def test_load_weights_rejects_corrupt(tmp_path):
         with pytest.raises(LoadError):
             load_weights(p)
     for bad_head in (b"\xff" + head,                          # not UTF-8
+                     head.replace(b'"hidden": "relu"', b'"hidden": "gelu"'),
                      head.replace(b'"seed": 22', b'"seed": "x"'),
                      head.replace(b'"seed": 22', b'"seed": 2.5'),
                      head.replace(b'"seed": 22', b'"seed": null'),
