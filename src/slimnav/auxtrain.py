@@ -477,10 +477,8 @@ def length_ratio(logs) -> float:
 @dataclass
 class ConstraintConfig:
     """Path-length constraint: successful paths must satisfy
-    steps <= beta * optimal_steps. alpha is the reserved slack weight for
-    reporting how close a run sits to the bound."""
+    steps <= beta * optimal_steps."""
 
-    alpha: Annotated[float, Range(0, 1)] = 0.5
     beta: Annotated[float, Range(1)] = 1.5
 
     __post_init__ = check_ranges

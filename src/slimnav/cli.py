@@ -21,8 +21,8 @@ does not parse as JSON is a string, valid only for a string field
 Each field is declared once. The ``reward``, ``constraint``, ``curriculum``
 and ``aux`` sections are the `auxtrain` dataclasses `RewardWeights`,
 `ConstraintConfig`, `Curriculum` and `AuxConfig`; ``nav`` extends
-`distill.DistillConfig` and ``sensor`` extends `worldsim.SensorConfig`, each
-by the fields only the CLI reads (``nav`` also trains longer by default).
+`distill.DistillConfig` by the fields only the CLI reads (and trains longer
+by default). ``sensor`` has no power pair; sensing starts at `MAX_POWER`.
 A field's annotation holds its type and, for a number, its legal range:
 ``Annotated[float, Range(0, 1, lo_open=True)]`` (`errors.Range`). Every
 section checks those ranges when it is built (`errors.check_ranges`), so an
@@ -116,9 +116,12 @@ class WorldSection:
     __post_init__ = check_ranges
 
 
-@dataclass(frozen=True)
-class SensorSection(SensorConfig):
+@dataclass
+class SensorSection:
+    max_range: Annotated[float, Range(0, lo_open=True)] = worldsim.DEFAULT_MAX_RANGE
     fifo_depth: Annotated[int, Range(1)] = 4
+
+    __post_init__ = check_ranges
 
 
 @dataclass
@@ -168,7 +171,6 @@ class BenchSection:
     seed: Annotated[int, Range(0)] = 0
     sizes: Annotated[tuple[tuple[int, ...], ...], Range(1)] = \
         ((32,), (64, 64), (128, 128), (256, 256))
-    aux_hidden: Annotated[tuple[int, ...], Range(1)] = (32, 32)
     n_observations: Annotated[int, Range(1)] = 200
     repeats: Annotated[int, Range(1)] = 5
 
@@ -508,6 +510,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(o.seed)
     counts = {"train": o.n_train_paths, "validation": o.n_val_paths,
               "test": o.n_test_paths}
+    sensor = SensorConfig(max_range=cfg.sensor.max_range)  # at MAX_POWER
     for region, n in counts.items():
         tasks = _sample_tasks(cfg, sampler, region, n, rng)
         paths = _supervision_paths(cfg, sampler, tasks)
@@ -518,7 +521,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> int:
         boost = o.crowd_boost if region == "train" else 1
         ds = pathoracle.label_dataset(grid, paths, depth=cfg.sensor.fifo_depth,
                                       max_step=cfg.world.max_step,
-                                      sensor=cfg.sensor, jitter=jitter, rng=rng,
+                                      sensor=sensor, jitter=jitter, rng=rng,
                                       crowd_boost=boost)
         pathoracle.save_dataset(ds, _artifact(cfg, DATA_FILES[region]),
                                 config_hash=cfg.config_hash())
@@ -548,9 +551,9 @@ def cmd_train_nav(cfg: ExperimentConfig) -> int:
         rollout_ds = pathoracle.label_rollouts(
             grid, sampler.graph, tasks, net.forward,
             depth=cfg.sensor.fifo_depth, max_step=cfg.world.max_step,
-            sensor=cfg.sensor, goal_radius=cfg.world.goal_radius,
-            clearance_weight=cfg.oracle.clearance_weight,
-            crowd_boost=cfg.oracle.crowd_boost)
+            sensor=SensorConfig(max_range=cfg.sensor.max_range),
+            goal_radius=cfg.world.goal_radius, crowd_boost=cfg.oracle.crowd_boost,
+            clearance_weight=cfg.oracle.clearance_weight)
         union = pathoracle.merge_datasets(train_ds, rollout_ds)
         net, report = distill.train_navigation(union, val_ds, spec, cfg.nav,
                                                mode=cfg.mode, layout=layout)
@@ -800,12 +803,12 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 
 def _bench_actor(cfg: ExperimentConfig) -> SlimmableMLP:
     """The auxiliary actor the benchmark times and takes its actions from:
-    the trained one when its weights exist, otherwise a fresh seeded actor
-    of the bench section's widths over the mode's action box."""
+    the trained one when its weights exist, otherwise a fresh actor of
+    `aux.actor_hidden` seeded by `bench.seed`, over the mode's action box."""
     if os.path.exists(_artifact(cfg, AUX_ACTOR_FILE)):
         return _load_actor(cfg)
     low, high = action_bounds(cfg.mode, cfg.nav.rho_min)
-    spec = MLPSpec(u=cfg.sensor.fifo_depth * OBS_WIDTH, q=cfg.bench.aux_hidden,
+    spec = MLPSpec(u=cfg.sensor.fifo_depth * OBS_WIDTH, q=cfg.aux.actor_hidden,
                    v=len(low), output_activation="bounded",
                    output_low=tuple(low), output_high=tuple(high))
     return SlimmableMLP(spec, seed=cfg.bench.seed)

@@ -1,11 +1,11 @@
 """Supervised training of the navigation network with in-place distillation.
 
-Each batch follows the sandwich scheme: one pass at the full configuration
-against the hard expert targets, whose outputs are recorded as constant soft
-targets; then passes at the minimal and at randomly drawn intermediate
-configurations against those soft targets. All gradients are summed into a
-single optimizer step. Mode C draws the intermediate configurations as
-slimming factors, mode S as sensor power pairs realised as input masks.
+Each batch follows the sandwich scheme (Yu & Huang 2019, arXiv:1903.05134):
+one pass at the full configuration against the hard expert targets, whose
+outputs are recorded as constant soft targets; then passes at the minimal
+and at `n_random` randomly drawn configurations against those soft targets.
+All gradients are summed into a single optimizer step. Mode C draws the
+configurations as slimming factors, mode S as power pairs (input masks).
 
 The passes run in float32, validation in float64: `train_navigation` casts
 each minibatch and its targets to float32, the precision the dataset files
@@ -33,8 +33,7 @@ from .worldsim import (DOWNWARD_LEVELS, FORWARD_LEVELS, MAX_POWER, MIN_POWER,
 @dataclass
 class DistillConfig:
     rho_min: Annotated[float, Range(0, 1, lo_open=True)] = 0.25
-    n_random_rhos: Annotated[int, Range(0)] = 2
-    n_random_powers: Annotated[int, Range(0)] = 2
+    n_random: Annotated[int, Range(0)] = 2
     batch_size: Annotated[int, Range(1)] = 64
     lr: Annotated[float, Range(0, lo_open=True)] = 1e-3
     max_epochs: Annotated[int, Range(1)] = 60
@@ -79,10 +78,10 @@ def supervised_distillation_C(net: SlimmableMLP, x: np.ndarray,
                               targets: np.ndarray, cfg: DistillConfig,
                               rng) -> tuple[Grads, float]:
     """Sandwich gradients for one batch in compute mode: full width vs hard
-    targets, then rho_min and n_random_rhos draws from U(rho_min, 1) vs the
-    soft targets."""
+    targets, then rho_min and n_random draws from U(rho_min, 1) vs the soft
+    targets."""
     rhos = [cfg.rho_min] + [float(rng.uniform(cfg.rho_min, 1.0))
-                            for _ in range(cfg.n_random_rhos)]
+                            for _ in range(cfg.n_random)]
     return _sandwich(net, x, targets,
                      [None] + [SlimMask(net.spec, rho) for rho in rhos])
 
@@ -91,11 +90,11 @@ def supervised_distillation_S(net: SlimmableMLP, x: np.ndarray,
                               targets: np.ndarray, cfg: DistillConfig,
                               rng, layout: ObservationLayout) -> tuple[Grads, float]:
     """Sandwich gradients for one batch in sensing mode: full power levels
-    vs hard targets, then minimal and random power pairs vs the soft
-    targets, each realized as an input mask at full width."""
+    vs hard targets, then the minimal and n_random random power pairs vs
+    the soft targets, each realized as an input mask at full width."""
     combos = [MAX_POWER, MIN_POWER] + [(int(rng.choice(FORWARD_LEVELS)),
                                         int(rng.choice(DOWNWARD_LEVELS)))
-                                       for _ in range(cfg.n_random_powers)]
+                                       for _ in range(cfg.n_random)]
     return _sandwich(net, x, targets,
                      [_power_mask(net, p_f, p_d, layout) for p_f, p_d in combos])
 

@@ -339,7 +339,7 @@ def _check_crowd_boost(crowd_boost) -> int:
 
 def label_dataset(grid: VoxelGrid, paths, depth: int,
                   max_step: float = worldsim.DEFAULT_MAX_STEP,
-                  sensor: SensorConfig | None = None,
+                  sensor: SensorConfig = SensorConfig(),
                   jitter: float = 0.0, rng=None,
                   crowd_boost: int = 1) -> LabeledDataset:
     """Replay each optimal path, sensing at every waypoint at the given
@@ -362,8 +362,6 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
     Every pose is known before any depth is read, so the poses are sensed
     in bounded batches (`worldsim.sense_poses`), not one `sense` call each;
     the samples are the same, bit for bit."""
-    if sensor is None:
-        sensor = SensorConfig()
     if jitter < 0:
         raise ConfigError(f"jitter must be >= 0, got {jitter}")
     if jitter > 0 and rng is None:
@@ -421,7 +419,7 @@ def label_dataset(grid: VoxelGrid, paths, depth: int,
 
 def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
                    max_step: float = worldsim.DEFAULT_MAX_STEP,
-                   sensor: SensorConfig | None = None,
+                   sensor: SensorConfig = SensorConfig(),
                    goal_radius: float = worldsim.DEFAULT_GOAL_RADIUS,
                    clearance_weight: float = 0.0,
                    max_steps: int | None = None,
@@ -438,8 +436,6 @@ def label_rollouts(grid: VoxelGrid, graph: MapGraph, tasks, policy, depth: int,
     episode simply continues until terminal or the step budget (default
     max(60, 5 * spawn-goal distance)). crowd_boost duplicates samples taken
     in crowded voxels, as in label_dataset."""
-    if sensor is None:
-        sensor = SensorConfig()
     crowd_boost = _check_crowd_boost(crowd_boost)
     res = grid.resolution
     hops: dict = {}
@@ -541,7 +537,8 @@ def save_dataset(ds: LabeledDataset, path, config_hash: str = "") -> None:
 
 def load_dataset(path) -> tuple[LabeledDataset, str]:
     """Inverse of save_dataset; returns the dataset and the recorded config
-    hash. Raises LoadError on malformed input, non-finite values included."""
+    hash. Raises LoadError on malformed input, non-finite values and power
+    levels the sensor lacks included."""
     with open(path, "rb") as f:
         header = f.readline().decode(errors="replace").rstrip("\n")
         blob = f.read()
@@ -554,6 +551,8 @@ def load_dataset(path) -> tuple[LabeledDataset, str]:
         raise LoadError(f"{path}: bad dataset header {header!r}") from e
     if min(obs_width, depth) < 1 or n < 0:
         raise LoadError(f"{path}: bad dataset header {header!r}")
+    if p_f not in worldsim.FORWARD_LEVELS or p_d not in worldsim.DOWNWARD_LEVELS:
+        raise LoadError(f"{path}: power levels ({p_f}, {p_d}) outside the sensor's")
     config_hash = parts[7] if len(parts) == 8 else ""
     width = obs_width * depth + 3
     if len(blob) != 4 * n * width:

@@ -556,8 +556,6 @@ def test_summaries_of_fake_logs():
 def test_constraint_config_validation():
     with pytest.raises(ConfigError):
         ConstraintConfig(beta=0.9)
-    with pytest.raises(ConfigError):
-        ConstraintConfig(alpha=1.5)
 
 
 def test_compute_eta_table_values():

@@ -54,7 +54,9 @@ def test_default_config_round_trip():
 
 
 # The benchmark fixtures' pinned small config (every other key keeps its
-# default); these hashes are the `config` values in the fixture weight files.
+# default). The committed fixture weight files record the hashes these had
+# before five config values were removed (6161bb8aaa19ccc6 in mode C,
+# 9092be8fc70805e7 in mode S); the benchmark does not read them.
 FIXTURE_OVERRIDES = (
     "world.dims=[48,48,8]",
     "oracle.n_train_paths=200",
@@ -67,8 +69,8 @@ FIXTURE_OVERRIDES = (
 
 def test_config_hash_is_pinned():
     # a changed hash turns every artifact built before it stale
-    assert ExperimentConfig().config_hash() == "3d4928afa0954764"
-    for mode, expected in (("C", "6161bb8aaa19ccc6"), ("S", "9092be8fc70805e7")):
+    assert ExperimentConfig().config_hash() == "7fabc81044bdc0e6"
+    for mode, expected in (("C", "cafd8ebcfa600cb4"), ("S", "4788853232c737d1")):
         cfg = load_config(None, [f"mode={mode}", *FIXTURE_OVERRIDES])
         assert cfg.config_hash() == expected
 
@@ -118,8 +120,8 @@ def test_from_dict_converts_lists_to_tuples():
     {"out_dir": 1},
     {"world": {"goal_radius": float("nan")}},
     {"sensor": {"max_range": float("inf")}},
+    {"sensor": {"max_range": 0.0}},
     # checks of the module dataclasses the sections are built from
-    {"sensor": {"p_f": 5}},
     {"aux": {"gamma": 1.5}},
     {"reward": {"goal": -1.0}},
     {"constraint": {"beta": 0.5}},
@@ -156,8 +158,8 @@ def test_from_dict_converts_lists_to_tuples():
     {"eval": {"sample_tolerance": 1.5}},
     {"bench": {"sizes": [[64, 0]]}},
     {"bench": {"sizes": [[]]}},
-    {"bench": {"aux_hidden": [0]}},
-    {"bench": {"aux_hidden": []}},
+    {"aux": {"actor_hidden": [0]}},   # the widths of bench's untrained actor
+    {"aux": {"critic_hidden": []}},
     # negative seeds reached numpy's generator and failed there
     {"world": {"seed": -1}},
     {"oracle": {"seed": -1}},
@@ -217,8 +219,6 @@ def test_distances_within_tolerance_of_the_world_load():
 # Numeric leaves that declare no Range, each with the check that bounds it.
 RANGE_EXEMPT = {
     "world.dims": "checked against worldsim.MIN_DIMS and MAX_VOXELS in validate",
-    "sensor.p_f": "checked for membership in worldsim.FORWARD_LEVELS by SensorConfig",
-    "sensor.p_d": "checked for membership in worldsim.DOWNWARD_LEVELS by SensorConfig",
     "oracle.region_fractions": "checked with world.dims[0] by "
                                "pathoracle.region_edges in validate",
     "aux.buffer_capacity": "checked against batch_size by TD3Config",
@@ -517,6 +517,41 @@ def test_aux_values_that_failed_late_are_config_errors(tmp_path, monkeypatch,
         assert err.startswith("configuration error: " + override.partition("=")[0])
         assert "Traceback" not in err and err.count("\n") == 1
     assert os.listdir(tmp_path) == []   # refused before any stage ran
+
+
+@pytest.mark.parametrize("override", [
+    "sensor.p_f=3", "sensor.p_d=3", "nav.n_random_rhos=2", "nav.n_random_powers=2",
+    "constraint.alpha=0.5", "bench.aux_hidden=[32,32]"])
+def test_removed_keys_are_unknown(tmp_path, monkeypatch, capsys, override):
+    # the policy picks the power pair and every flight starts at MAX_POWER;
+    # the sandwich's random count is nav.n_random for both modes, and bench's
+    # untrained actor takes aux.actor_hidden
+    code = _entry_code(monkeypatch, ["gen-world", "--set", f"out_dir={tmp_path}",
+                                     "--set", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown key "
+                          + override.partition("=")[0])
+    assert os.listdir(tmp_path) == []
+
+
+def test_train_nav_refuses_power_levels_the_sensor_lacks(tmp_path, monkeypatch,
+                                                         capsys):
+    # a dataset whose header names a power pair the sensor lacks is a corrupt
+    # artifact: exit 3 when it is read, not a late configuration error
+    overrides = [f"out_dir={tmp_path}", "nav.max_epochs=1", "nav.refine_rollouts=0"]
+    cfg = load_config(None, overrides)
+    u = cfg.sensor.fifo_depth * worldsim.OBS_WIDTH
+    for region in ("train", "validation"):
+        ds = pathoracle.LabeledDataset(np.zeros((4, u)), np.zeros((4, 3)),
+                                       cfg.sensor.fifo_depth, p_f=9, p_d=-2)
+        pathoracle.save_dataset(ds, os.path.join(tmp_path, DATA_FILES[region]),
+                                cfg.config_hash())
+    args = [a for o in overrides for a in ("--set", o)]
+    assert _entry_code(monkeypatch, ["train-nav", *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dependency error") and "power levels (9, -2)" in err
+    assert not os.path.exists(os.path.join(tmp_path, NAV_WEIGHTS_FILE))
 
 
 def test_entry_maps_exceptions_to_exit_codes(tmp_path, monkeypatch, capsys):
@@ -875,56 +910,56 @@ def test_pipeline_report_idempotent(mini_c):
 # that rounds the networks' matrix products differently changes them.
 PIPELINE_DIGESTS = {
     "C": {
-        "aux_actor.bin": "1ce58601461bb5fc",
-        "aux_critic1.bin": "efeb2f38b1739264",
-        "aux_critic2.bin": "cc34e4869c023c85",
-        "aux_episodes.csv": "7cc5faade2777f49",
-        "aux_eval.csv": "d328364d541e06a3",
-        "aux_updates.csv": "55e6238484baf7b0",
-        "eval_episodes.csv": "346ebfd57a9aaf6a",
-        "eval_rmse.csv": "03e0fc6b05516112",
-        "eval_success.csv": "db350ff8b31b9891",
-        "gate.txt": "34a043e1a6d196a8",
-        "nav_train.csv": "839ea6f17cfe6773",
-        "nav_weights.bin": "26302ff6f092eb99",
-        "report_depth_bins.csv": "3c9a74d3cc406431",
-        "report_heatmap.csv": "2f29c3e6552f1dd3",
-        "report_rmse.csv": "03e0fc6b05516112",
-        "report_success.csv": "db350ff8b31b9891",
-        "report_summary.csv": "953277786db01f99",
-        "test_data.bin": "86d675474589b319",
+        "aux_actor.bin": "282fb9ecfe5ecdc2",
+        "aux_critic1.bin": "6ccb8f05ccbe6d19",
+        "aux_critic2.bin": "e654e84062d814d0",
+        "aux_episodes.csv": "45def461f8045687",
+        "aux_eval.csv": "700ba71ce468425e",
+        "aux_updates.csv": "f0cc25783eb91cb6",
+        "eval_episodes.csv": "ad67b025edc817f3",
+        "eval_rmse.csv": "59f461b61fafe4c9",
+        "eval_success.csv": "54ee3ebd0a4076ce",
+        "gate.txt": "9b8a81f45313c3d6",
+        "nav_train.csv": "a3533e4522f5f83e",
+        "nav_weights.bin": "a616cd098a9759a4",
+        "report_depth_bins.csv": "cdaf2c26b06c64d9",
+        "report_heatmap.csv": "b35bbe40e36bf0e0",
+        "report_rmse.csv": "59f461b61fafe4c9",
+        "report_success.csv": "54ee3ebd0a4076ce",
+        "report_summary.csv": "eb028512f5829e4d",
+        "test_data.bin": "3601c0ab42f191d1",
         "test_paths.txt": "41804420f91fe51e",
-        "train_data.bin": "9a53c3817eb2f8cb",
+        "train_data.bin": "f844b578bd03318e",
         "train_paths.txt": "a437eb6cf86c2646",
-        "val_data.bin": "2fe3d3810a5823b7",
+        "val_data.bin": "23ed352ffd309943",
         "val_paths.txt": "a9effda5c4d4ed1a",
-        "world.txt": "8f5a27d7437144ca",
+        "world.txt": "116c41b0ad24a102",
     },
     "S": {
-        "aux_actor.bin": "14fdaec171f88967",
-        "aux_critic1.bin": "24f6a7021fda1efc",
-        "aux_critic2.bin": "b0efc00bf6c64765",
-        "aux_episodes.csv": "16947a14e5a8be07",
-        "aux_eval.csv": "d14c9978728be125",
-        "aux_updates.csv": "20643ee47c6dfad9",
-        "eval_episodes.csv": "aae2dbea56155fae",
-        "eval_rmse.csv": "696297f04e8c1d65",
-        "eval_success.csv": "da45e95dd9212ab3",
-        "gate.txt": "3b6b72656f9e64f9",
-        "nav_train.csv": "eab2aaa7c6fb67c3",
-        "nav_weights.bin": "4d0540e422587be1",
-        "report_depth_bins.csv": "7f2a2b3fed985fff",
-        "report_heatmap.csv": "6967d106d9152c71",
-        "report_rmse.csv": "696297f04e8c1d65",
-        "report_success.csv": "da45e95dd9212ab3",
-        "report_summary.csv": "f811b4c53fafb383",
-        "test_data.bin": "c5034207a87b11d9",
+        "aux_actor.bin": "6e9e1444dfb0b95e",
+        "aux_critic1.bin": "dd098fbb3692f43e",
+        "aux_critic2.bin": "6ebd69d805dbd205",
+        "aux_episodes.csv": "cf9c0668850aab1c",
+        "aux_eval.csv": "0e9da821b876a88a",
+        "aux_updates.csv": "7b53098caf740c5e",
+        "eval_episodes.csv": "fc449b472c46e83d",
+        "eval_rmse.csv": "6dd3823cb734cc15",
+        "eval_success.csv": "b88aeac27e21497b",
+        "gate.txt": "a8affec5febf9e3f",
+        "nav_train.csv": "ddb66ec101d78a5b",
+        "nav_weights.bin": "12bfa36dc997004b",
+        "report_depth_bins.csv": "cf2e6f4560184d7c",
+        "report_heatmap.csv": "2a2b87b312cbfb7b",
+        "report_rmse.csv": "6dd3823cb734cc15",
+        "report_success.csv": "b88aeac27e21497b",
+        "report_summary.csv": "93f694243986d2d6",
+        "test_data.bin": "ef59db5d22e9d223",
         "test_paths.txt": "41804420f91fe51e",
-        "train_data.bin": "3812f5dc49413d78",
+        "train_data.bin": "d1dca60875544483",
         "train_paths.txt": "a437eb6cf86c2646",
-        "val_data.bin": "3b8b1487f9b56228",
+        "val_data.bin": "0eb4057a84e01885",
         "val_paths.txt": "a9effda5c4d4ed1a",
-        "world.txt": "f09e189c4a302c65",
+        "world.txt": "68ad10e22eedc386",
     },
 }
 UNPINNED_ARTIFACTS = {CONFIG_FILE, BENCH_FILE, REPORT_FILES["timing"]}
@@ -1091,6 +1126,24 @@ def test_bench_times_the_first_test_fifos(tmp_path, monkeypatch, capsys):
     _write_test_data(cfg, 0)
     assert _entry_code(monkeypatch, args) == 3
     assert "holds no observations" in capsys.readouterr().err
+
+
+def test_bench_untrained_actor_has_the_aux_widths(tmp_path, monkeypatch):
+    # with no trained actor, bench times a fresh one of aux.actor_hidden
+    cfg = load_config(None, [f"out_dir={tmp_path}", "aux.actor_hidden=[8]",
+                             "bench.sizes=[[8]]", "bench.n_observations=4",
+                             "bench.repeats=1"])
+    _write_test_data(cfg, 4)
+    actors = []
+    bench_actor = cli._bench_actor
+
+    def actor(cfg):
+        actors.append(bench_actor(cfg))
+        return actors[-1]
+
+    monkeypatch.setattr(cli, "_bench_actor", actor)
+    assert cli.cmd_bench(cfg) == 0
+    assert [a.spec.q for a in actors] == [(8,)]
 
 
 @pytest.mark.parametrize("mode", ["C", "S"])

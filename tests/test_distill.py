@@ -8,6 +8,7 @@ import pytest
 
 from slimnav import distill, pathoracle, worldsim
 from slimnav.auxtrain import fly_tasks, length_ratio, success_rate
+from slimnav.cli import load_config
 from slimnav.distill import (DistillConfig,
                              rmse_by_power, rmse_by_rho, rmse_on_dataset,
                              supervised_distillation_C,
@@ -42,7 +43,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         DistillConfig(rho_min=1.5)
     with pytest.raises(ConfigError):
-        DistillConfig(n_random_rhos=-1)
+        DistillConfig(n_random=-1)
     with pytest.raises(ConfigError):
         DistillConfig(batch_size=0)
     with pytest.raises(ConfigError):
@@ -73,7 +74,7 @@ def test_degenerate_sandwich_equals_plain_gradient():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16, 10))
     t = rng.normal(size=(16, 2))
-    cfg = DistillConfig(rho_min=1.0, n_random_rhos=1)
+    cfg = DistillConfig(rho_min=1.0, n_random=1)
     grads, hard = supervised_distillation_C(net, x, t, cfg, np.random.default_rng(5))
     y, cache = net.forward(x, return_cache=True)
     plain = net.backward(cache, distill._mse_grad(y, t))
@@ -92,7 +93,7 @@ def test_sandwich_adds_subwidth_gradients():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16, 10))
     t = rng.normal(size=(16, 2))
-    cfg = DistillConfig(rho_min=0.25, n_random_rhos=0)
+    cfg = DistillConfig(rho_min=0.25, n_random=0)
     grads, _ = supervised_distillation_C(net, x, t, cfg, np.random.default_rng(5))
     y, cache = net.forward(x, return_cache=True)
     plain = net.backward(cache, distill._mse_grad(y, t))
@@ -107,7 +108,7 @@ def test_sandwich_sensing_masks_inputs():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, spec.u))
     t = rng.normal(size=(8, 3))
-    cfg = DistillConfig(n_random_powers=1)
+    cfg = DistillConfig(n_random=1)
     grads, _ = supervised_distillation_S(net, x, t, cfg,
                                          np.random.default_rng(3), layout)
     # rays outside every drawn power level never contribute: with the
@@ -149,6 +150,28 @@ def test_training_is_deterministic(toy):
     assert any(not np.array_equal(a, b) for a, b in zip(n1.weights, n3.weights))
 
 
+@pytest.mark.parametrize("mode", ["C", "S"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_n_random_adds_k_passes_to_the_sandwich(mode, k, monkeypatch):
+    # each batch runs the full and the minimal sub-network, then k random ones
+    layout = ObservationLayout(1)
+    train = toy_dataset(40, layout.depth * OBS_WIDTH, 3)
+    val = toy_dataset(10, layout.depth * OBS_WIDTH, 4)
+    passes = []
+    sandwich = distill._sandwich
+
+    def sandwich_spy(net, x, targets, masks):
+        passes.append(len(masks))
+        return sandwich(net, x, targets, masks)
+
+    monkeypatch.setattr(distill, "_sandwich", sandwich_spy)
+    cfg = load_config(None, [f"nav.n_random={k}", "nav.max_epochs=1",
+                             "nav.batch_size=16"]).nav
+    train_navigation(train, val, MLPSpec(u=train.fifo_vectors.shape[1], q=(8,), v=3),
+                     cfg, mode=mode, layout=layout)
+    assert passes == [k + 2] * 3
+
+
 def test_distilled_beats_control_at_low_rho(toy):
     train, val, test = toy
     spec = MLPSpec(u=24, q=(16, 8), v=3)
@@ -157,7 +180,7 @@ def test_distilled_beats_control_at_low_rho(toy):
     # the sandwich at rho_min 1 without random draws: the extra full-width
     # pass has zero error and zero gradient, so this is plain training
     control, _ = train_navigation(train, val, spec,
-                                  DistillConfig(rho_min=1.0, n_random_rhos=0,
+                                  DistillConfig(rho_min=1.0, n_random=0,
                                                 **base))
     r_d = rmse_on_dataset(distilled, test, SlimMask(spec, 0.25))
     r_c = rmse_on_dataset(control, test, SlimMask(spec, 0.25))
@@ -201,7 +224,7 @@ def test_training_in_sensing_mode(toy):
     val = toy_dataset(100, layout.depth * OBS_WIDTH, 11)
     test = toy_dataset(100, layout.depth * OBS_WIDTH, 12)
     spec = MLPSpec(u=layout.depth * OBS_WIDTH, q=(16,), v=3)
-    cfg = DistillConfig(max_epochs=8, seed=0, n_random_powers=1)
+    cfg = DistillConfig(max_epochs=8, seed=0, n_random=1)
     net, _ = train_navigation(train, val, spec, cfg, mode="S", layout=layout)
     table = rmse_by_power(net, test, layout)
     assert set(table) == {(1, 0), (2, 1), (3, 2), (3, 3)}

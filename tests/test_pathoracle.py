@@ -684,6 +684,12 @@ def test_dataset_rejects_corruption(tmp_path):
         (tmp_path / "field.bin").write_bytes(b" ".join(mangled) + b"\n" + body)
         with pytest.raises(LoadError):
             load_dataset(tmp_path / "field.bin")
+    # power levels the sensor lacks: fields 4 and 5 are p_f and p_d
+    for k, bad in ((4, b"9"), (4, b"0"), (5, b"-2"), (5, b"4")):
+        mangled = fields[:k] + [bad] + fields[k + 1:]
+        (tmp_path / "power.bin").write_bytes(b" ".join(mangled) + b"\n" + body)
+        with pytest.raises(LoadError, match="power levels"):
+            load_dataset(tmp_path / "power.bin")
     # non-finite record values, in a FIFO feature and in a target
     for bad, at in ((np.nan, 0), (np.inf, len(body) - 4), (-np.inf, len(body) - 4)):
         mangled = bytearray(body)
